@@ -52,9 +52,11 @@ echo "experiments sat cell: equivalence proved, sampled candidates UNSAT OK"
 echo "experiments structure cell: collapse bit-identical, census attached OK"
 
 # Kernel differential cell: the flat SoA tape kernel (the default
-# engine) and the retained graph walker must produce bit-identical
-# verdicts, signatures and coverage on LP-MINI in both response-check
-# modes (exits non-zero on any divergence). A few seconds.
+# engine, running each shard group over its fanout cone) and the
+# retained graph walker must produce bit-identical verdicts, signatures
+# and coverage on LP-MINI and on the carry-save LP-CSA in both
+# response-check modes (exits non-zero on any divergence). A few
+# seconds.
 ./target/release/experiments kernel
 echo "experiments kernel cell: walker/kernel bit-identical in both modes OK"
 

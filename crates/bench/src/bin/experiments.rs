@@ -1602,49 +1602,60 @@ fn bench10() {
     );
 }
 
-/// The `kernel` CI cell (tier1.sh): the LP-MINI campaign must produce
-/// bit-identical verdicts under the graph walker and the flat tape
-/// kernel in both response-check modes (detection cycles, per-fault
-/// signatures, good signature, coverage), and the compiled tape must
-/// be a non-trivial straight-line program. Sub-second; exits non-zero
-/// otherwise.
+/// The `kernel` CI cell (tier1.sh): the LP-MINI campaign, and a
+/// shorter LP-CSA one (whose carry-save stages put the sum-to-carry
+/// cone edge under test), must produce bit-identical verdicts under the
+/// graph walker and the flat tape kernel in both response-check modes
+/// (detection cycles, per-fault signatures, good signature, coverage),
+/// and the compiled tape must be a non-trivial straight-line program. A
+/// few seconds; exits non-zero otherwise.
 fn kernel_smoke() {
-    banner("CI kernel cell: LP-MINI walker vs tape kernel, bit-identical in both modes");
-    let d = filters::designs::lowpass_mini().expect("LP-MINI elaborates");
-    let session = BistSession::new(&d).expect("session");
-    let vectors = 1024;
-    for mode in [ResponseCheck::Trace, ResponseCheck::Signature] {
-        let mode_name = match mode {
-            ResponseCheck::Trace => "trace",
-            ResponseCheck::Signature => "signature",
-        };
-        let config = run_config_mode(vectors, mode);
-        let mut gen = generator("LFSR-D");
-        let walked =
-            run_session(&session, &mut *gen, &config.clone().with_engine(SimEngine::Walker));
-        let mut gen = generator("LFSR-D");
-        let kernel = run_session(&session, &mut *gen, &config.with_engine(SimEngine::Kernel));
-        if walked.result.detection_cycles() != kernel.result.detection_cycles()
-            || walked.result.signatures() != kernel.result.signatures()
-            || walked.signature != kernel.signature
-            || walked.artifact.coverage != kernel.artifact.coverage
-        {
-            eprintln!("kernel cell failed: {mode_name}-mode verdicts diverge between engines");
-            std::process::exit(1);
+    banner("CI kernel cell: LP-MINI and LP-CSA walker vs tape kernel, bit-identical in both modes");
+    let cells = [
+        (filters::designs::lowpass_mini().expect("LP-MINI elaborates"), 1024),
+        (filters::designs::lowpass_carry_save().expect("LP-CSA elaborates"), 256),
+    ];
+    for (d, vectors) in &cells {
+        let session = BistSession::new(d).expect("session");
+        for mode in [ResponseCheck::Trace, ResponseCheck::Signature] {
+            let mode_name = match mode {
+                ResponseCheck::Trace => "trace",
+                ResponseCheck::Signature => "signature",
+            };
+            let config = run_config_mode(*vectors, mode);
+            let mut gen = generator("LFSR-D");
+            let walked =
+                run_session(&session, &mut *gen, &config.clone().with_engine(SimEngine::Walker));
+            let mut gen = generator("LFSR-D");
+            let kernel = run_session(&session, &mut *gen, &config.with_engine(SimEngine::Kernel));
+            if walked.result.detection_cycles() != kernel.result.detection_cycles()
+                || walked.result.signatures() != kernel.result.signatures()
+                || walked.signature != kernel.signature
+                || walked.artifact.coverage != kernel.artifact.coverage
+            {
+                eprintln!(
+                    "kernel cell failed: {} {mode_name}-mode verdicts diverge between engines",
+                    d.name()
+                );
+                std::process::exit(1);
+            }
+            println!(
+                "  {} {mode_name} @{vectors}: {} faults, coverage {:.2}%, verdicts bit-identical",
+                d.name(),
+                kernel.artifact.total_faults,
+                100.0 * kernel.artifact.coverage
+            );
         }
-        println!(
-            "  {mode_name}: {} faults, coverage {:.2}%, verdicts bit-identical",
-            kernel.artifact.total_faults,
-            100.0 * kernel.artifact.coverage
-        );
     }
+    let d = &cells[0].0;
     let tape = faultsim::Tape::compile(d.netlist());
     if tape.op_count() == 0 || tape.segment_count() == 0 {
         eprintln!("kernel cell failed: LP-MINI compiled to an empty tape");
         std::process::exit(1);
     }
     println!(
-        "kernel cell: tape {} op(s) in {} segment(s) over {} slot plane(s), both modes identical",
+        "kernel cell: LP-MINI tape {} op(s) in {} segment(s) over {} slot plane(s), \
+         both designs identical in both modes",
         tape.op_count(),
         tape.segment_count(),
         tape.slot_count(),

@@ -17,8 +17,8 @@
 //!   to completed artifacts, LRU-bounded, with JSONL spill/reload.
 //!   Hits replay artifacts bit-identically to the run that made them.
 //! * [`worker`] — N threads driving `CampaignSpec::run` with per-job
-//!   [`faultsim::CancelToken`]s (deadlines and `cancel` both land at
-//!   fault-simulation stage boundaries).
+//!   [`faultsim::CancelToken`]s (deadlines and `cancel` both land
+//!   within 256 simulated cycles of a fault-simulation stage).
 //! * [`daemon`] — accept loops, dispatch, graceful drain-and-spill
 //!   shutdown, and a per-daemon [`obs::Registry`] served by the
 //!   `metrics` request. Submits are statically linted at admission

@@ -5,7 +5,7 @@
 //! Workers claim jobs through [`JobTable::claim`] (which atomically
 //! loses races against cancellation), execute the campaign with the
 //! job's [`faultsim::CancelToken`] attached — so `CancelJob` and deadlines take
-//! effect at the fault simulator's next stage boundary — and publish
+//! effect within 256 simulated cycles of a fault-simulation stage — and publish
 //! the outcome: artifact into the result cache and job table on
 //! success, a classified terminal state otherwise. Per-stage latencies
 //! from each artifact feed the daemon's histograms, which keeps the

@@ -432,7 +432,8 @@ impl CampaignSpec {
     }
 
     /// Validates, elaborates and runs the whole campaign, checking
-    /// `cancel` (if given) at phase and stage boundaries.
+    /// `cancel` (if given) at phase and stage boundaries and every 256
+    /// cycles inside fault-simulation stages.
     ///
     /// # Errors
     ///

@@ -44,7 +44,7 @@ pub enum SessionError {
         reason: String,
     },
     /// The run's [`CancelToken`] fired (explicit cancellation or a
-    /// deadline) and the session stopped at a stage boundary.
+    /// deadline) and the session stopped at its next poll of it.
     Cancelled {
         /// Whether the token read cancelled because its deadline
         /// passed, rather than an explicit cancel call.
@@ -315,9 +315,9 @@ impl RunConfig {
     }
 
     /// Attaches a cancellation token. [`BistSession::run`] checks it
-    /// between pipeline phases, and the fault simulator checks it at
-    /// every stage boundary; a fired token surfaces as
-    /// [`SessionError::Cancelled`].
+    /// between pipeline phases, and the fault simulator polls it at
+    /// every stage boundary and every 256 cycles inside a stage; a
+    /// fired token surfaces as [`SessionError::Cancelled`].
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = Some(cancel);
         self

@@ -16,44 +16,61 @@
 //!   bits, register reads and constant bits are pure *slot aliases*
 //!   resolved at compile time — zero instructions at run time,
 //! * **fault injection as tape patches** ([`KernelSim::set_faults`]):
-//!   a patched cell is executed through the exact interpretive gate
-//!   model ([`rtl::fulladder::eval_word`]) while every other op of the
-//!   tape — including the rest of the faulted adder — stays on the
-//!   branch-free fast path, and
+//!   a patched cell is executed through the gate-level cell network
+//!   with its fault list compiled into per-line lane masks
+//!   ([`rtl::fulladder::LineMasks`], bit-identical to the interpretive
+//!   [`rtl::fulladder::eval_word`]) while every other op of the tape —
+//!   including the rest of the faulted adder — stays on the branch-free
+//!   fast path,
 //! * **optional multi-word lanes** ([`KernelSim::with_words`]): `N`
 //!   independent 64-pattern words per pass share one instruction
-//!   stream.
+//!   stream, and
+//! * **cone tapes** (`Tape::restrict`): the ops of a fault set's
+//!   sequential fanout `Cone` cut out of the tape, with every plane
+//!   the cone reads but does not compute filled each cycle from a
+//!   `Recording` of the fault-free machine
+//!   (`KernelSim::step_recorded`). The parallel simulator runs every
+//!   shard group on the cone tape of its faults.
 //!
 //! # Slot-numbering contract
 //!
 //! Slot `0` is constant all-zeros and slot `1` constant all-ones;
 //! neither is ever a destination. Every other physical slot is written
-//! by exactly one producer per cycle (input broadcast, one tape op, or
-//! the register latch phase) — the tape is in SSA form — and every op
-//! reads only slots produced earlier in the tape, by the latch phase
-//! of the previous cycle, or by the input broadcast. Register slots
-//! double as the architectural state: they hold the *previous* cycle's
-//! latched value throughout combinational evaluation and are updated
-//! in a two-phase gather/commit latch, so chained registers observe
-//! pre-latch values exactly like hardware (and like the walker).
+//! by exactly one producer per cycle (input broadcast, one tape op, the
+//! register latch phase, or on a cone tape a boundary fill) — the tape
+//! is in SSA form — and every op reads only slots produced earlier in
+//! the tape, by the latch phase, or by the input broadcast or fills at
+//! the start of the cycle. Register slots
+//! hold the register *outputs* — the previous cycle's latched value —
+//! throughout combinational evaluation. The latch phase runs at the
+//! start of the next step, before any slot of the new cycle is
+//! written: each register slot is copied from its source slot, which
+//! still holds the value computed in the cycle that just ended, in an
+//! order that copies a register's slot onward before overwriting it,
+//! so chained registers observe pre-latch values exactly like hardware
+//! (and like the walker). A netlist whose registers form a ring falls
+//! back to a two-phase gather/commit latch through a state array.
 //!
 //! # Bit-identity with the walker
 //!
 //! Each compiled construct mirrors one arm of the walker's evaluator:
 //! fused `Full`/`FullN` ops are its ripple-carry fast path, `SumOnly`
 //! its trimmed MSB cell, aliases its wiring copies, and patches its
-//! faulted slow path (same [`rtl::fulladder::eval_word`] lane masks,
-//! same per-cell carry chaining). [`KernelSim`] therefore produces the
-//! same output planes, register snapshots, detection masks and MISR
-//! foldings bit-for-bit — the differential tests in this crate and the
-//! `kernel` experiments cell hold the two engines equal on every
-//! built-in design.
+//! faulted slow path (the same cell network and lane masks as
+//! [`rtl::fulladder::eval_word`], same per-cell carry chaining).
+//! [`KernelSim`] therefore produces the same output planes, register
+//! snapshots, detection masks and MISR foldings bit-for-bit — the
+//! differential tests in this crate and the `kernel` experiments cell
+//! hold the two engines equal on every built-in design. A cone tape
+//! adds one argument: a plane outside the fanout of every injected
+//! fault equals the fault-free machine's, so filling it from the
+//! recording changes nothing (DESIGN.md §14, "Cone sub-tapes").
 //!
 //! Determinism: compilation and execution are pure functions of the
 //! netlist, the input words and the injected faults — no hashing
 //! iteration order, clocks or thread scheduling can reach the result.
 
-use rtl::fulladder::{eval_word, FaFault};
+use rtl::fulladder::{FaFault, LineMasks};
 use rtl::misr::MisrBank;
 use rtl::sim::CellFault;
 use rtl::{Netlist, NodeId, NodeKind};
@@ -158,11 +175,33 @@ pub struct Tape {
     /// `(register slot, source slot)` latch pairs, register-major in
     /// [`Netlist::register_indices`] order, bit-minor.
     latches: Vec<(u32, u32)>,
+    /// An order in which every latch can copy its source slot straight
+    /// into its register slot at the start of the next cycle: a latch
+    /// whose source is another register's slot comes before that
+    /// register's own latch. `None` when register-to-register latches
+    /// form a ring (the machine then latches through its state array).
+    latch_order: Option<Vec<u32>>,
     /// Per-arithmetic-node cell-to-op addressing for fault patches.
     arith: HashMap<u32, ArithOps>,
     /// Physical slot of every `(node, bit)` plane, aliasing resolved;
-    /// indexed `node_index * width + bit`.
+    /// indexed `node_index * width + bit` (`NO_SLOT` on a cone tape for
+    /// planes the cone neither computes nor reads).
     slot_of: Vec<u32>,
+    /// The netlist node each op belongs to (cones are cut by node).
+    op_node: Vec<u32>,
+    /// Node index of each register block, in `reg_bases` order.
+    reg_nodes: Vec<u32>,
+    /// Position of each register block among the netlist's registers
+    /// ([`Netlist::register_indices`] order): the identity on a compiled
+    /// tape, the in-cone subset on a cone tape.
+    reg_index: Vec<u32>,
+    /// Boundary fills of a cone tape: `(slot, full-tape slot)` pairs,
+    /// refreshed every cycle from a `Recording` of the fault-free
+    /// machine. Empty on a compiled tape.
+    fills: Vec<(u32, u32)>,
+    /// Whether this tape was cut from a compiled tape by
+    /// `Tape::restrict`.
+    cone: bool,
 }
 
 impl Tape {
@@ -225,6 +264,7 @@ impl Tape {
         // appear first in the evaluation order — the sum is not an
         // operand of the carry).
         let mut csa_carry_ops: HashMap<u32, u32> = HashMap::new();
+        let mut op_node: Vec<u32> = Vec::new();
 
         let slot = |slot_of: &[u32], id: NodeId, bit: usize| slot_of[id.index() * w + bit];
 
@@ -361,6 +401,7 @@ impl Tape {
                 // lowering rule before the kernel can run it.
                 ref other => panic!("no kernel lowering for node kind {other:?}"),
             }
+            op_node.resize(kind.len(), i as u32);
         }
 
         for (sum_node, base) in csa_carry_ops {
@@ -375,45 +416,176 @@ impl Tape {
             "every (node, bit) plane must resolve to a physical slot"
         );
 
-        // Uniform-kind segments over the finished tape.
-        let mut segments: Vec<(OpKind, u32, u32)> = Vec::new();
-        for (op, &k) in kind.iter().enumerate() {
-            match segments.last_mut() {
-                Some((sk, _, end)) if *sk == k && *end == op as u32 => *end = op as u32 + 1,
-                _ => segments.push((k, op as u32, op as u32 + 1)),
-            }
-        }
-
         let outputs =
             netlist.output_ids().iter().map(|out| slot_of[out.index() * w]).collect::<Vec<_>>();
         let mut reg_bases = Vec::new();
+        let mut reg_nodes = Vec::new();
         let mut latches = Vec::new();
         for &idx in netlist.register_indices() {
             let i = idx as usize;
             if let NodeKind::Register { src } = netlist.nodes()[i].kind {
                 reg_bases.push(slot_of[i * w]);
+                reg_nodes.push(idx);
                 for bit in 0..w {
                     latches.push((slot_of[i * w + bit], slot_of[src.index() * w + bit]));
                 }
             }
         }
+        let reg_index = (0..reg_bases.len() as u32).collect();
+        let latch_order = in_place_latch_order(&latches);
 
         Tape {
             width: w,
             slots: slots as usize,
+            segments: segments_of(&kind),
             kind,
             a,
             b,
             c,
             dst,
             dst2,
-            segments,
             inputs,
             outputs,
             reg_bases,
             latches,
+            latch_order,
             arith,
             slot_of,
+            op_node,
+            reg_nodes,
+            reg_index,
+            fills: Vec::new(),
+            cone: false,
+        }
+    }
+
+    /// Cuts the ops of a fanout `Cone` out of this compiled tape, in
+    /// tape order, into a self-contained *cone tape*.
+    ///
+    /// The cone tape keeps every op of every in-cone node and the
+    /// latches of the in-cone registers; its slots are renumbered
+    /// densely (monotonically, so output and register blocks stay
+    /// contiguous). Every slot an in-cone op or latch reads but no
+    /// in-cone op produces — inputs, out-of-cone registers and
+    /// out-of-cone logic — becomes a *boundary fill*, refreshed each
+    /// cycle from a `Recording` of the fault-free machine by
+    /// `KernelSim::step_recorded`; so are the output blocks of
+    /// outputs outside the cone. A fault injected into an in-cone node
+    /// cannot reach any other slot, so the cone machine reproduces
+    /// the full machine's in-cone planes, outputs and register states
+    /// bit for bit (DESIGN.md §14, "Cone sub-tapes").
+    ///
+    /// # Panics
+    ///
+    /// Panics if this tape is itself a cone tape, or if the cone holds
+    /// a carry-save sum node without its paired carry node (a
+    /// `Fanout` cone always holds both).
+    pub(crate) fn restrict(&self, cone: &Cone) -> Tape {
+        assert!(!self.cone, "cones are cut from a compiled tape");
+        let w = self.width;
+        let ops: Vec<usize> =
+            (0..self.kind.len()).filter(|&i| cone.members[self.op_node[i] as usize]).collect();
+        let regs: Vec<usize> = (0..self.reg_bases.len())
+            .filter(|&r| cone.members[self.reg_nodes[r] as usize])
+            .collect();
+
+        // Slots the cone machine produces itself (op results, in-cone
+        // register state, the two constants) and slots it reads (op
+        // operands, in-cone latch sources, every output plane).
+        let mut local = vec![false; self.slots];
+        local[0] = true;
+        local[1] = true;
+        for &i in &ops {
+            for d in [self.dst[i], self.dst2[i]] {
+                if d != NO_SLOT {
+                    local[d as usize] = true;
+                }
+            }
+        }
+        for &r in &regs {
+            let base = self.reg_bases[r] as usize;
+            local[base..base + w].fill(true);
+        }
+        let mut used = local.clone();
+        for &i in &ops {
+            for s in [self.a[i], self.b[i], self.c[i]] {
+                if s != NO_SLOT {
+                    used[s as usize] = true;
+                }
+            }
+        }
+        for &r in &regs {
+            for &(_, src) in &self.latches[r * w..(r + 1) * w] {
+                used[src as usize] = true;
+            }
+        }
+        for &base in &self.outputs {
+            used[base as usize..base as usize + w].fill(true);
+        }
+
+        let mut remap = vec![NO_SLOT; self.slots];
+        let mut fills = Vec::new();
+        let mut slots = 0u32;
+        for s in 0..self.slots {
+            if used[s] {
+                remap[s] = slots;
+                if !local[s] {
+                    fills.push((slots, s as u32));
+                }
+                slots += 1;
+            }
+        }
+        let re = |s: u32| if s == NO_SLOT { NO_SLOT } else { remap[s as usize] };
+
+        let mut op_new = vec![NO_SLOT; self.kind.len()];
+        for (new, &old) in ops.iter().enumerate() {
+            op_new[old] = new as u32;
+        }
+        let arith = self
+            .arith
+            .iter()
+            .filter(|(&node, _)| cone.members[node as usize])
+            .map(|(&node, info)| {
+                let carry_base = info.carry_base.map(|cb| {
+                    let op = op_new[cb as usize];
+                    assert!(op != NO_SLOT, "a carry-save sum's cone holds its paired carry");
+                    op
+                });
+                (
+                    node,
+                    ArithOps { base_op: op_new[info.base_op as usize], top: info.top, carry_base },
+                )
+            })
+            .collect();
+        let kind: Vec<OpKind> = ops.iter().map(|&i| self.kind[i]).collect();
+        let latches: Vec<(u32, u32)> = regs
+            .iter()
+            .flat_map(|&r| &self.latches[r * w..(r + 1) * w])
+            .map(|&(d, s)| (re(d), re(s)))
+            .collect();
+
+        Tape {
+            width: w,
+            slots: slots as usize,
+            segments: segments_of(&kind),
+            kind,
+            a: ops.iter().map(|&i| re(self.a[i])).collect(),
+            b: ops.iter().map(|&i| re(self.b[i])).collect(),
+            c: ops.iter().map(|&i| re(self.c[i])).collect(),
+            dst: ops.iter().map(|&i| re(self.dst[i])).collect(),
+            dst2: ops.iter().map(|&i| re(self.dst2[i])).collect(),
+            inputs: Vec::new(),
+            outputs: self.outputs.iter().map(|&o| re(o)).collect(),
+            reg_bases: regs.iter().map(|&r| re(self.reg_bases[r])).collect(),
+            latch_order: in_place_latch_order(&latches),
+            latches,
+            arith,
+            slot_of: self.slot_of.iter().map(|&s| re(s)).collect(),
+            op_node: ops.iter().map(|&i| self.op_node[i]).collect(),
+            reg_nodes: regs.iter().map(|&r| self.reg_nodes[r]).collect(),
+            reg_index: regs.iter().map(|&r| self.reg_index[r]).collect(),
+            fills,
+            cone: true,
         }
     }
 
@@ -447,6 +619,20 @@ impl Tape {
     /// Number of uniform-kind segments the hot loop executes.
     pub fn segment_count(&self) -> usize {
         self.segments.len()
+    }
+
+    /// Number of boundary fills a cone tape refreshes per cycle (zero
+    /// on a compiled tape).
+    pub(crate) fn fill_count(&self) -> usize {
+        self.fills.len()
+    }
+
+    /// Position of each of this tape's registers among the netlist's
+    /// registers ([`Netlist::register_indices`] order) — the layout of
+    /// [`KernelSim::register_state_lane`] snapshots. The identity on a
+    /// compiled tape; only the in-cone registers on a cone tape.
+    pub(crate) fn registers(&self) -> &[u32] {
+        &self.reg_index
     }
 
     /// A stable, human-readable rendering of the whole tape — slot
@@ -503,13 +689,213 @@ impl Tape {
         for &(d, s) in &self.latches {
             let _ = writeln!(out, "  s{d} <- s{s}");
         }
+        if !self.fills.is_empty() {
+            let _ = writeln!(out, "fills:");
+            for &(d, s) in &self.fills {
+                let _ = writeln!(out, "  s{d} <- good s{s}");
+            }
+        }
         out
     }
 }
 
-/// The per-word fault lists of one patched op: `(word, [(fault,
-/// lanes)])` entries sorted by word index.
-type WordPatches = Vec<(u32, Vec<(FaFault, u64)>)>;
+/// Transposes a 64×64 bit matrix in place: bit `j` of row `i` moves to
+/// bit `i` of row `j` — 64 lane planes become 64 per-lane words, and
+/// back.
+fn transpose64(a: &mut [u64; 64]) {
+    let mut j = 32usize;
+    let mut m: u64 = 0x0000_0000_FFFF_FFFF;
+    while j != 0 {
+        let mut k = 0usize;
+        while k < 64 {
+            let t = ((a[k] >> j) ^ a[k + j]) & m;
+            a[k] ^= t << j;
+            a[k + j] ^= t;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        m ^= m << j;
+    }
+}
+
+/// A readers-before-writers order of `latches` (see `Tape::latch_order`),
+/// or `None` when register-to-register latches form a ring.
+fn in_place_latch_order(latches: &[(u32, u32)]) -> Option<Vec<u32>> {
+    let writer: HashMap<u32, u32> =
+        latches.iter().enumerate().map(|(k, &(dst, _))| (dst, k as u32)).collect();
+    // Latch `k` reads register latch `before[k]`'s slot: `k` goes first.
+    let mut waiting = vec![0u32; latches.len()];
+    let mut before = vec![None; latches.len()];
+    for (k, &(dst, src)) in latches.iter().enumerate() {
+        if let Some(&b) = writer.get(&src).filter(|_| src != dst) {
+            before[k] = Some(b);
+            waiting[b as usize] += 1;
+        }
+    }
+    let mut order: Vec<u32> =
+        (0..latches.len() as u32).filter(|&k| waiting[k as usize] == 0).collect();
+    let mut next = 0;
+    while next < order.len() {
+        if let Some(b) = before[order[next] as usize] {
+            waiting[b as usize] -= 1;
+            if waiting[b as usize] == 0 {
+                order.push(b);
+            }
+        }
+        next += 1;
+    }
+    (order.len() == latches.len()).then_some(order)
+}
+
+/// Maximal uniform-kind runs `(kind, start, end)` covering a tape's op
+/// kinds in order.
+fn segments_of(kind: &[OpKind]) -> Vec<(OpKind, u32, u32)> {
+    let mut segments: Vec<(OpKind, u32, u32)> = Vec::new();
+    for (op, &k) in kind.iter().enumerate() {
+        match segments.last_mut() {
+            Some((sk, _, end)) if *sk == k && *end == op as u32 => *end = op as u32 + 1,
+            _ => segments.push((k, op as u32, op as u32 + 1)),
+        }
+    }
+    segments
+}
+
+/// Node-level sequential fanout of a netlist, for cutting `Cone`s
+/// out of its compiled [`Tape`].
+///
+/// A node's fanout follows every [`NodeKind::operands`] edge forward —
+/// registers included, so cones are *sequential* (they span cycles) —
+/// plus the edge from each carry-save sum node to its paired carry
+/// node: the two share one cell network, so a fault injected through
+/// the sum node also patches the carry node's ops.
+#[derive(Debug)]
+pub(crate) struct Fanout {
+    consumers: Vec<Vec<u32>>,
+    node_ops: Vec<u32>,
+}
+
+impl Fanout {
+    /// The fanout of `netlist`, with op counts taken from its compiled
+    /// `tape`.
+    pub(crate) fn new(netlist: &Netlist, tape: &Tape) -> Fanout {
+        let n = netlist.nodes().len();
+        let mut consumers: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for (i, node) in netlist.nodes().iter().enumerate() {
+            for src in node.kind.operands() {
+                consumers[src.index()].push(i as u32);
+            }
+            if let NodeKind::CsaCarry { sum, .. } = node.kind {
+                consumers[sum.index()].push(i as u32);
+            }
+        }
+        let mut node_ops = vec![0u32; n];
+        for &node in &tape.op_node {
+            node_ops[node as usize] += 1;
+        }
+        Fanout { consumers, node_ops }
+    }
+
+    /// The union of the seed nodes' transitive fanouts (seeds
+    /// included).
+    pub(crate) fn cone(&self, seeds: impl IntoIterator<Item = NodeId>) -> Cone {
+        let mut members = vec![false; self.consumers.len()];
+        let mut stack: Vec<u32> = Vec::new();
+        for seed in seeds {
+            if !members[seed.index()] {
+                members[seed.index()] = true;
+                stack.push(seed.index() as u32);
+            }
+        }
+        let mut ops = 0usize;
+        while let Some(node) = stack.pop() {
+            ops += self.node_ops[node as usize] as usize;
+            for &next in &self.consumers[node as usize] {
+                if !members[next as usize] {
+                    members[next as usize] = true;
+                    stack.push(next);
+                }
+            }
+        }
+        Cone { members, ops }
+    }
+}
+
+/// A set of netlist nodes closed under `Fanout`: everything a fault
+/// in one of its seed nodes can disturb.
+#[derive(Debug)]
+pub(crate) struct Cone {
+    members: Vec<bool>,
+    ops: usize,
+}
+
+impl Cone {
+    /// Tape ops of the in-cone nodes: the per-word, per-cycle work of
+    /// the cone tape `Tape::restrict` cuts.
+    pub(crate) fn op_count(&self) -> usize {
+        self.ops
+    }
+}
+
+/// The fault-free machine's planes over a run of consecutive cycles:
+/// one bit per physical slot of a compiled [`Tape`] per cycle (all
+/// lanes of a fault-free machine agree, so one bit is the whole plane).
+/// Cone machines read their boundary fills from it.
+#[derive(Debug)]
+pub(crate) struct Recording {
+    row_words: usize,
+    first_cycle: usize,
+    bits: Vec<u64>,
+}
+
+impl Recording {
+    /// An empty recording laid out over `tape`'s slots, starting at
+    /// cycle 0, with room for `cycles` rows.
+    pub(crate) fn new(tape: &Tape, cycles: usize) -> Recording {
+        let row_words = tape.slots.div_ceil(64);
+        Recording { row_words, first_cycle: 0, bits: Vec::with_capacity(row_words * cycles) }
+    }
+
+    /// Drops every row, keeping the allocation; the next captured row
+    /// is cycle `first_cycle`'s.
+    pub(crate) fn restart(&mut self, first_cycle: usize) {
+        self.bits.clear();
+        self.first_cycle = first_cycle;
+    }
+
+    /// Appends one row: the current planes of a fault-free machine
+    /// running the compiled tape (lane 0 of word 0).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sim` runs a tape with a different slot layout, or a
+    /// cone tape.
+    pub(crate) fn capture(&mut self, sim: &KernelSim<'_>) {
+        assert!(
+            !sim.tape.cone && sim.tape.slots.div_ceil(64) == self.row_words,
+            "a recording captures the compiled tape it was laid out over"
+        );
+        let w = sim.words;
+        let planes = sim.buf.chunks(64 * w).map(|block| {
+            block.iter().step_by(w).enumerate().fold(0u64, |bits, (i, p)| bits | (p & 1) << i)
+        });
+        self.bits.extend(planes);
+    }
+
+    /// The row of cycle `cycle` (0-based, counted from the start of
+    /// the test).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycle` was not recorded since the last restart.
+    pub(crate) fn row(&self, cycle: usize) -> &[u64] {
+        let i = cycle - self.first_cycle;
+        &self.bits[i * self.row_words..(i + 1) * self.row_words]
+    }
+}
+
+/// The per-word faults of one patched op: `(word, compiled line
+/// masks)` entries sorted by word index.
+type WordPatches = Vec<(u32, LineMasks)>;
 
 /// A machine executing a [`Tape`]: the walker-compatible engine behind
 /// the parallel fault simulator's default configuration.
@@ -534,15 +920,25 @@ pub struct KernelSim<'t> {
     /// Injected faults, keyed `(word, node)`.
     node_faults: BTreeMap<(u32, u32), Vec<CellFault>>,
     /// Per-op patch list, sorted by op index; each entry carries the
-    /// faulted words (sorted) with their lane-masked fault lists.
+    /// faulted words (sorted) with their compiled fault masks.
     patches: Vec<(u32, WordPatches)>,
+    /// Set when `node_faults` changed since `patches` was built: the
+    /// patch list is rebuilt once, at the next step, however many
+    /// nodes and words were faulted in between.
+    patches_stale: bool,
     /// Architectural register state, latch-major (`latch * words +
-    /// word`; mirrors the walker's separate `state` array): committed
-    /// into the register slots at the start of each step, gathered
-    /// from the latch source slots at its end — so mid-cycle reads see
-    /// the register *output* and snapshots see the latched *state*,
-    /// exactly like hardware.
+    /// word`; mirrors the walker's separate `state` array), committed
+    /// into the register slots at the start of each step — so
+    /// mid-cycle reads see the register *output* and snapshots see the
+    /// latched *state*, exactly like hardware. It holds the state only
+    /// after a reset or a state write (`state_pending`), or on a tape
+    /// without an in-place latch order; otherwise the latched state is
+    /// still in the latch source slots after a step, and the next
+    /// commit copies it from there (one plane copy per latch bit per
+    /// cycle instead of a gather and a commit).
     reg_state: Vec<u64>,
+    /// Whether `reg_state` holds the state the next commit loads.
+    state_pending: bool,
 }
 
 impl<'t> KernelSim<'t> {
@@ -567,7 +963,16 @@ impl<'t> KernelSim<'t> {
         let mut buf = vec![0u64; tape.slots * words];
         buf[words..2 * words].fill(!0u64); // slot 1: constant all-ones
         let reg_state = vec![0u64; tape.latches.len() * words];
-        KernelSim { tape, words, buf, node_faults: BTreeMap::new(), patches: Vec::new(), reg_state }
+        KernelSim {
+            tape,
+            words,
+            buf,
+            node_faults: BTreeMap::new(),
+            patches: Vec::new(),
+            patches_stale: false,
+            reg_state,
+            state_pending: true,
+        }
     }
 
     /// The executed tape.
@@ -583,6 +988,7 @@ impl<'t> KernelSim<'t> {
     /// Resets all register state to zero (faults are kept).
     pub fn reset(&mut self) {
         self.reg_state.fill(0);
+        self.state_pending = true;
         for &reg in &self.tape.reg_bases {
             let lo = reg as usize * self.words;
             let hi = (reg as usize + self.tape.width) * self.words;
@@ -606,7 +1012,7 @@ impl<'t> KernelSim<'t> {
             self.install_faults(word, node, faults.clone());
         }
         self.install_faults(0, node, faults);
-        self.rebuild_patches();
+        self.patches_stale = true;
     }
 
     /// Injects faults into an adder/subtractor/carry-save node of one
@@ -621,7 +1027,7 @@ impl<'t> KernelSim<'t> {
     pub fn set_faults_in_word(&mut self, word: usize, node: NodeId, faults: Vec<CellFault>) {
         assert!(word < self.words, "word {word} out of range");
         self.install_faults(word as u32, node, faults);
-        self.rebuild_patches();
+        self.patches_stale = true;
     }
 
     fn install_faults(&mut self, word: u32, node: NodeId, faults: Vec<CellFault>) {
@@ -643,9 +1049,11 @@ impl<'t> KernelSim<'t> {
     pub fn clear_all_faults(&mut self) {
         self.node_faults.clear();
         self.patches.clear();
+        self.patches_stale = false;
     }
 
     fn rebuild_patches(&mut self) {
+        self.patches_stale = false;
         let mut per_op: BTreeMap<u32, BTreeMap<u32, Vec<(FaFault, u64)>>> = BTreeMap::new();
         for (&(word, node), faults) in &self.node_faults {
             let info = self.tape.arith[&node];
@@ -676,8 +1084,12 @@ impl<'t> KernelSim<'t> {
                 }
             }
         }
-        self.patches =
-            per_op.into_iter().map(|(op, words)| (op, words.into_iter().collect())).collect();
+        self.patches = per_op
+            .into_iter()
+            .map(|(op, words)| {
+                (op, words.into_iter().map(|(w, list)| (w, LineMasks::compile(&list))).collect())
+            })
+            .collect();
     }
 
     /// Advances one clock cycle with the same input word broadcast to
@@ -685,7 +1097,9 @@ impl<'t> KernelSim<'t> {
     ///
     /// # Panics
     ///
-    /// Panics if the netlist does not have exactly one input.
+    /// Panics if the netlist does not have exactly one input, or on a
+    /// cone tape (whose inputs are boundary fills; see
+    /// `KernelSim::step_recorded`).
     pub fn step(&mut self, input_raw: i64) {
         assert_eq!(self.tape.inputs.len(), 1, "netlist does not have exactly one input");
         let base = self.tape.inputs[0].1;
@@ -723,7 +1137,46 @@ impl<'t> KernelSim<'t> {
         self.gather_registers();
     }
 
+    /// Advances one cycle of a cone-tape machine: every boundary slot
+    /// is filled with the fault-free value `row` recorded for it this
+    /// cycle (broadcast to all lanes of every word), then the cone's
+    /// ops run and its registers latch. `row` is one `Recording` row
+    /// of the compiled tape this cone was cut from.
+    pub(crate) fn step_recorded(&mut self, row: &[u64]) {
+        self.commit_registers();
+        // Whole-plane array stores, like the op results: the ops read
+        // these planes back as arrays, and plane-wide stores keep
+        // store-to-load forwarding intact.
+        match self.words {
+            1 => self.fill_boundary_w::<1>(row),
+            2 => self.fill_boundary_w::<2>(row),
+            4 => self.fill_boundary_w::<4>(row),
+            8 => self.fill_boundary_w::<8>(row),
+            16 => self.fill_boundary_w::<16>(row),
+            w => {
+                for &(slot, src) in &self.tape.fills {
+                    let v = ((row[src as usize / 64] >> (src % 64)) & 1).wrapping_neg();
+                    self.buf[slot as usize * w..(slot as usize + 1) * w].fill(v);
+                }
+            }
+        }
+        self.exec();
+        self.gather_registers();
+    }
+
+    fn fill_boundary_w<const W: usize>(&mut self, row: &[u64]) {
+        let buf = &mut self.buf[..];
+        for &(slot, src) in &self.tape.fills {
+            let v = ((row[src as usize / 64] >> (src % 64)) & 1).wrapping_neg();
+            let d = slot as usize * W;
+            buf[d..d + W].copy_from_slice(&[v; W]);
+        }
+    }
+
     fn exec(&mut self) {
+        if self.patches_stale {
+            self.rebuild_patches();
+        }
         if self.patches.is_empty() {
             for s in 0..self.tape.segments.len() {
                 let (k, lo, hi) = self.tape.segments[s];
@@ -925,9 +1378,10 @@ impl<'t> KernelSim<'t> {
         }
     }
 
-    /// Executes one patched cell through the interpretive gate model —
-    /// the exact evaluator the walker's faulted slow path uses, so the
-    /// faulty planes agree bit-for-bit. A `Carry` op takes the carry
+    /// Executes one patched cell through the gate-level cell network
+    /// under its compiled line masks — bit-identical to the
+    /// interpretive evaluator the walker's faulted slow path uses, so
+    /// the faulty planes agree bit-for-bit. A `Carry` op takes the carry
     /// output; every other kind takes the sum (plus, for full cells,
     /// the chained carry). For carry-less sum cells (trimmed MSB,
     /// carry-save sum bits) the discarded carry matches the walker's
@@ -947,14 +1401,20 @@ impl<'t> KernelSim<'t> {
             let raw_b = self.buf[b + k];
             let bv = if negate { !raw_b } else { raw_b };
             let cv = self.buf[c + k];
-            let faults: &[(FaFault, u64)] = match faulted.peek() {
-                Some(&&(word, ref list)) if word as usize == k => {
+            let masks = match faulted.peek() {
+                Some(&&(word, ref masks)) if word as usize == k => {
                     faulted.next();
-                    list
+                    Some(masks)
                 }
-                _ => &[],
+                _ => None,
             };
-            if faults.is_empty() {
+            if let Some(masks) = masks {
+                let (sum, cout) = masks.eval(av, bv, cv);
+                self.buf[d + k] = if carry_op { cout } else { sum };
+                if d2 != NO_SLOT {
+                    self.buf[d2 as usize * w + k] = cout;
+                }
+            } else {
                 // A clean word of a patched op: the fast expressions,
                 // exactly as run_segment would have produced them.
                 let x1 = av ^ bv;
@@ -962,38 +1422,78 @@ impl<'t> KernelSim<'t> {
                 if d2 != NO_SLOT {
                     self.buf[d2 as usize * w + k] = (av & bv) | (x1 & cv);
                 }
-            } else {
-                let (sum, cout) = eval_word(av, bv, cv, faults);
-                self.buf[d + k] = if carry_op { cout } else { sum };
-                if d2 != NO_SLOT {
-                    self.buf[d2 as usize * w + k] = cout;
-                }
             }
         }
     }
 
+    /// Whether the latched state sits in the latch source slots rather
+    /// than in `reg_state`.
+    fn state_in_slots(&self) -> bool {
+        !self.state_pending && self.tape.latch_order.is_some()
+    }
+
     /// Commits the architectural state into the register slots — the
     /// walker's "Register copies state into planes" arm, run once at
-    /// the start of a step.
+    /// the start of a step, before the input and boundary planes of the
+    /// new cycle are written: the source slots still hold the previous
+    /// cycle's values, and the in-place order copies a register's slot
+    /// onward before overwriting it.
     fn commit_registers(&mut self) {
         let w = self.words;
-        for (k, &(dst, _)) in self.tape.latches.iter().enumerate() {
-            let lo = dst as usize * w;
-            self.buf[lo..lo + w].copy_from_slice(&self.reg_state[k * w..(k + 1) * w]);
+        match &self.tape.latch_order {
+            Some(order) if !self.state_pending => {
+                for &k in order {
+                    let (dst, src) = self.tape.latches[k as usize];
+                    self.buf
+                        .copy_within(src as usize * w..(src as usize + 1) * w, dst as usize * w);
+                }
+            }
+            _ => {
+                for (k, &(dst, _)) in self.tape.latches.iter().enumerate() {
+                    let lo = dst as usize * w;
+                    self.buf[lo..lo + w].copy_from_slice(&self.reg_state[k * w..(k + 1) * w]);
+                }
+                self.state_pending = false;
+            }
         }
     }
 
     /// Gathers every register's next value into the architectural
-    /// state — the walker's `latch_registers`. The register slots are
-    /// untouched until the next step's commit, so chained registers
-    /// (and post-step reads) observe pre-latch values, like the
-    /// walker's planes/state split.
+    /// state — the walker's `latch_registers` — on a tape without an
+    /// in-place latch order. The register slots are untouched until
+    /// the next step's commit, so chained registers (and post-step
+    /// reads) observe pre-latch values, like the walker's planes/state
+    /// split.
     fn gather_registers(&mut self) {
+        if self.tape.latch_order.is_some() {
+            return;
+        }
         let w = self.words;
         for (k, &(_, src)) in self.tape.latches.iter().enumerate() {
             let lo = src as usize * w;
             self.reg_state[k * w..(k + 1) * w].copy_from_slice(&self.buf[lo..lo + w]);
         }
+    }
+
+    /// One latched-state plane: latch `latch`, pattern word `word`.
+    fn state_plane(&self, latch: usize, word: usize) -> u64 {
+        if self.state_in_slots() {
+            self.buf[self.tape.latches[latch].1 as usize * self.words + word]
+        } else {
+            self.reg_state[latch * self.words + word]
+        }
+    }
+
+    /// Moves the latched state into `reg_state` before a state write.
+    fn materialize_state(&mut self) {
+        if self.state_in_slots() {
+            let w = self.words;
+            for (k, &(_, src)) in self.tape.latches.iter().enumerate() {
+                let lo = src as usize * w;
+                self.reg_state[k * w..(k + 1) * w].copy_from_slice(&self.buf[lo..lo + w]);
+            }
+        }
+        self.state_pending = true;
     }
 
     /// Reads one lane's word at a node (word 0), sign-extended to
@@ -1079,7 +1579,9 @@ impl<'t> KernelSim<'t> {
     }
 
     /// Snapshot of one lane's register state (word 0; one `width`-bit
-    /// word per register, in [`Netlist::register_indices`] order).
+    /// word per register of the tape, in `Tape::registers` order —
+    /// every register, in [`Netlist::register_indices`] order, on a
+    /// compiled tape).
     ///
     /// # Panics
     ///
@@ -1102,7 +1604,7 @@ impl<'t> KernelSim<'t> {
             .map(|r| {
                 let mut bits: u64 = 0;
                 for b in 0..w {
-                    bits |= ((self.reg_state[(r * w + b) * self.words + word] >> lane) & 1) << b;
+                    bits |= ((self.state_plane(r * w + b, word) >> lane) & 1) << b;
                 }
                 bits
             })
@@ -1120,6 +1622,51 @@ impl<'t> KernelSim<'t> {
         self.set_register_state_lane_in_word(0, lane, snapshot);
     }
 
+    /// Every lane's latched register state in one pattern word — the
+    /// bulk form of [`KernelSim::register_state_lane_in_word`]: entry
+    /// `r * 64 + lane` is the tape's register `r` (`Tape::registers`
+    /// order) in that lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `word` is out of range.
+    pub(crate) fn register_states_in_word(&self, word: usize) -> Vec<u64> {
+        assert!(word < self.words, "word {word} out of range");
+        let w = self.tape.width;
+        let mut out = Vec::with_capacity(self.tape.reg_bases.len() * 64);
+        for r in 0..self.tape.reg_bases.len() {
+            let mut m = [0u64; 64];
+            for (b, plane) in m.iter_mut().enumerate().take(w) {
+                *plane = self.state_plane(r * w + b, word);
+            }
+            transpose64(&mut m);
+            out.extend_from_slice(&m);
+        }
+        out
+    }
+
+    /// Writes every lane's register state of one pattern word, laid out
+    /// as `KernelSim::register_states_in_word` returns it (bits above
+    /// the datapath width are ignored).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `states` does not hold 64 entries per register or
+    /// `word` is out of range.
+    pub(crate) fn set_register_states_in_word(&mut self, word: usize, states: &[u64]) {
+        assert!(word < self.words, "word {word} out of range");
+        assert_eq!(states.len(), self.tape.reg_bases.len() * 64, "64 lane states per register");
+        self.materialize_state();
+        let w = self.tape.width;
+        for (r, lanes) in states.chunks_exact(64).enumerate() {
+            let mut m: [u64; 64] = lanes.try_into().expect("64 lanes");
+            transpose64(&mut m);
+            for (b, &plane) in m.iter().enumerate().take(w) {
+                self.reg_state[(r * w + b) * self.words + word] = plane;
+            }
+        }
+    }
+
     /// [`KernelSim::set_register_state_lane`] for an arbitrary pattern
     /// word.
     ///
@@ -1135,6 +1682,7 @@ impl<'t> KernelSim<'t> {
             self.tape.reg_bases.len(),
             "snapshot does not match register count"
         );
+        self.materialize_state();
         let w = self.tape.width;
         for (r, &bits) in snapshot.iter().enumerate() {
             for b in 0..w {
@@ -1293,8 +1841,10 @@ mod tests {
             lanes: 2,
         };
         kernel.set_faults(node, vec![f]);
+        kernel.step(0);
         assert_eq!(kernel.patches.len(), 1);
         kernel.set_faults(node, vec![]);
+        kernel.step(0);
         assert!(kernel.patches.is_empty());
         kernel.set_faults(node, vec![f]);
         kernel.clear_all_faults();
@@ -1444,5 +1994,240 @@ mod tests {
         assert_eq!(dump, tape.dump());
         assert!(dump.starts_with("tape width=8"));
         assert!(dump.matches("\n  ").count() >= tape.op_count());
+    }
+
+    /// The fault-free recording a cone machine reads its boundary from,
+    /// plus the good machine's register state after every cycle.
+    fn good_run(tape: &Tape, inputs: &[i64]) -> (Recording, Vec<Vec<u64>>) {
+        let mut good = KernelSim::new(tape);
+        let mut rec = Recording::new(tape, inputs.len());
+        let mut regs = Vec::new();
+        for &raw in inputs {
+            good.step(raw);
+            rec.capture(&good);
+            regs.push(good.register_state_lane(0));
+        }
+        (rec, regs)
+    }
+
+    /// Runs `faults` (per node, lane-masked) on the full tape and on the
+    /// cone tape of their nodes side by side, holding outputs, full
+    /// register snapshots and MISR signatures equal every cycle.
+    fn assert_cone_matches_full(
+        netlist: &Netlist,
+        tape: &Tape,
+        fanout: &Fanout,
+        faults: &HashMap<NodeId, Vec<CellFault>>,
+        inputs: &[i64],
+        good: &(Recording, Vec<Vec<u64>>),
+    ) {
+        let cone = fanout.cone(faults.keys().copied());
+        let sub = tape.restrict(&cone);
+        assert_eq!(sub.op_count(), cone.op_count());
+        let mut full = KernelSim::new(tape);
+        let mut part = KernelSim::new(&sub);
+        for (&node, list) in faults {
+            full.set_faults(node, list.clone());
+            part.set_faults(node, list.clone());
+        }
+        let mut full_bank = MisrBank::with_polynomial(16, 0x1100B).unwrap();
+        let mut part_bank = MisrBank::with_polynomial(16, 0x1100B).unwrap();
+        let outputs = netlist.output_ids();
+        for (cycle, &raw) in inputs.iter().enumerate() {
+            full.step(raw);
+            part.step_recorded(good.0.row(cycle));
+            full.fold_outputs(&mut full_bank);
+            part.fold_outputs(&mut part_bank);
+            for lane in [0u32, 1, 2, 31, 63] {
+                assert_eq!(full.output_diff_lanes(lane), part.output_diff_lanes(lane));
+                for &out in &outputs {
+                    assert_eq!(full.lane_value(out, lane), part.lane_value(out, lane));
+                }
+                let mut regs = good.1[cycle].clone();
+                for (&r, v) in sub.registers().iter().zip(part.register_state_lane(lane)) {
+                    regs[r as usize] = v;
+                }
+                assert_eq!(full.register_state_lane(lane), regs, "cycle {cycle} lane {lane}");
+            }
+        }
+        for lane in 0..64 {
+            assert_eq!(full_bank.lane_signature(lane), part_bank.lane_signature(lane));
+        }
+    }
+
+    #[test]
+    fn every_universe_fault_matches_the_full_tape_on_its_cone() {
+        // Each collapsed fault alone on the cone of its node, then each
+        // 63-fault shard on the union of its nodes' cones: the cone
+        // machine must be indistinguishable from the full machine.
+        let n = kitchen_sink(8);
+        let ranges = RangeAnalysis::analyze(&n, aligned_input_range(8, 8));
+        let universe = FaultUniverse::enumerate(&n, &ranges);
+        let tape = Tape::compile(&n);
+        let fanout = Fanout::new(&n, &tape);
+        let inputs = pseudo_inputs(8, 96);
+        let good = good_run(&tape, &inputs);
+        let sites: Vec<_> = universe.ids().collect();
+        let fault = |fid, lane: usize| {
+            let site = universe.site(fid);
+            (site.node, CellFault { cell: site.cell, fault: site.representative, lanes: 1 << lane })
+        };
+        for &fid in &sites {
+            let (node, f) = fault(fid, 1);
+            let faults = HashMap::from([(node, vec![f])]);
+            assert_cone_matches_full(&n, &tape, &fanout, &faults, &inputs, &good);
+        }
+        for shard in sites.chunks(63) {
+            let mut faults: HashMap<NodeId, Vec<CellFault>> = HashMap::new();
+            for (slot, &fid) in shard.iter().enumerate() {
+                let (node, f) = fault(fid, slot + 1);
+                faults.entry(node).or_default().push(f);
+            }
+            assert_cone_matches_full(&n, &tape, &fanout, &faults, &inputs, &good);
+        }
+    }
+
+    #[test]
+    fn cones_are_proper_and_the_whole_tape_is_the_largest_cone() {
+        let n = kitchen_sink(8);
+        let tape = Tape::compile(&n);
+        let fanout = Fanout::new(&n, &tape);
+        // The last adder feeds only the output: a strict sub-tape whose
+        // boundary is its operand planes.
+        let a2 = n.find_label("a2").unwrap();
+        let late = fanout.cone([a2]);
+        let sub = tape.restrict(&late);
+        assert!(sub.op_count() < tape.op_count());
+        assert!(sub.fill_count() > 0);
+        assert!(!late.members[n.find_label("a1").unwrap().index()]);
+        // The constant-only `not` logic lies in no fault's cone.
+        let faulted = fanout.cone(n.arithmetic_ids());
+        assert!(faulted.op_count() < tape.op_count());
+        // Seeding every node covers every op, and the only boundary
+        // left is the input.
+        let all = fanout.cone(n.node_ids());
+        let whole = tape.restrict(&all);
+        assert_eq!(whole.op_count(), tape.op_count());
+        assert_eq!(whole.fill_count(), tape.width());
+        assert!(whole.dump().contains("fills:"));
+        assert!(!tape.dump().contains("fills:"), "a compiled tape has no boundary");
+    }
+
+    #[test]
+    fn carry_save_sum_cone_includes_the_paired_carry_fanout() {
+        // The sum and carry words of a carry-save stage share one cell
+        // network, so a fault on a sum-node cell can corrupt the carry
+        // word — whose fanout (a register and a second output) is
+        // disjoint from the sum word's.
+        let mut b = NetlistBuilder::new(8).unwrap();
+        let x = b.input("x");
+        let d1 = b.register(x);
+        let t = b.shift_right(x, 1);
+        let (sum, carry) = b.csa(x, d1, t, "cs");
+        let y = b.add_labeled(sum, x, "y_add");
+        b.output(y, "y");
+        let r = b.register(carry);
+        let z = b.add_labeled(r, d1, "z_add");
+        let z_out = b.output(z, "z");
+        let n = b.finish().unwrap();
+        let tape = Tape::compile(&n);
+        let fanout = Fanout::new(&n, &tape);
+        let cone = fanout.cone([sum]);
+        for node in [carry, r, z, z_out] {
+            assert!(cone.members[node.index()], "{node} missing from the sum node's cone");
+        }
+        assert!(!cone.members[d1.index()]);
+
+        // A carry-output fault on a sum-node cell is visible only on the
+        // carry path, and the cone machine tracks it exactly.
+        let inputs = pseudo_inputs(8, 64);
+        let good = good_run(&tape, &inputs);
+        let stuck = CellFault {
+            cell: 2,
+            fault: FaFault { line: rtl::fulladder::Line::Cout, stuck_one: true },
+            lanes: 2,
+        };
+        let faults = HashMap::from([(sum, vec![stuck])]);
+        assert_cone_matches_full(&n, &tape, &fanout, &faults, &inputs, &good);
+        let mut full = KernelSim::new(&tape);
+        full.set_faults(sum, vec![stuck]);
+        let mut diverged = false;
+        for &raw in &inputs {
+            full.step(raw);
+            diverged |= full.lane_value(z_out, 1) != full.lane_value(z_out, 0);
+        }
+        assert!(diverged, "the carry-path fault must reach output z");
+    }
+
+    #[test]
+    fn chained_registers_latch_in_place_and_rings_through_the_state_array() {
+        // A register ring cannot be latched in place (each register's
+        // slot is the other's source); a node id minted by a second
+        // builder wires one up.
+        let mut mint = NetlistBuilder::new(8).unwrap();
+        let ids: Vec<NodeId> = (0..3).map(|_| mint.input("pad")).collect();
+        let mut b = NetlistBuilder::new(8).unwrap();
+        let x = b.input("x");
+        let r1 = b.register(ids[2]); // forward reference to r2
+        let r2 = b.register(r1);
+        assert_eq!(r2, ids[2]);
+        let y = b.add(x, r1);
+        b.output(y, "y");
+        let ring = b.finish().unwrap();
+        for (n, in_place) in [(kitchen_sink(8), true), (ring, false)] {
+            let tape = Tape::compile(&n);
+            assert_eq!(tape.latch_order.is_some(), in_place);
+            let mut walker = BitSlicedSim::new(&n);
+            let mut kernel = KernelSim::new(&tape);
+            let seed: Vec<u64> = (0..tape.reg_bases.len() as u64).map(|r| 5 + 3 * r).collect();
+            walker.set_register_state_lane(3, &seed);
+            kernel.set_register_state_lane(3, &seed);
+            for raw in pseudo_inputs(8, 40) {
+                walker.step(raw);
+                kernel.step(raw);
+                assert_machines_agree(&n, &walker, &kernel);
+            }
+            // A state write after stepping keeps the other lanes' state.
+            walker.set_register_state_lane(9, &seed);
+            kernel.set_register_state_lane(9, &seed);
+            assert_machines_agree(&n, &walker, &kernel);
+            for raw in pseudo_inputs(8, 10) {
+                walker.step(raw);
+                kernel.step(raw);
+                assert_machines_agree(&n, &walker, &kernel);
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_register_states_match_the_per_lane_snapshots() {
+        let n = kitchen_sink(8);
+        let tape = Tape::compile(&n);
+        let mut kernel = KernelSim::with_words(&tape, 2);
+        let node = n.arithmetic_ids()[1];
+        let f = CellFault {
+            cell: 1,
+            fault: FaFault { line: rtl::fulladder::Line::Sum, stuck_one: true },
+            lanes: 0xF0F0,
+        };
+        kernel.set_faults_in_word(1, node, vec![f]);
+        for raw in pseudo_inputs(8, 30) {
+            kernel.step(raw);
+        }
+        for word in 0..2 {
+            let bulk = kernel.register_states_in_word(word);
+            for lane in 0..64u32 {
+                let single = kernel.register_state_lane_in_word(word, lane);
+                let column: Vec<u64> =
+                    (0..single.len()).map(|r| bulk[r * 64 + lane as usize]).collect();
+                assert_eq!(column, single, "word {word} lane {lane}");
+            }
+        }
+        // Writing the bulk form back (swapped between words) round-trips.
+        let (w0, w1) = (kernel.register_states_in_word(0), kernel.register_states_in_word(1));
+        kernel.set_register_states_in_word(0, &w1);
+        kernel.set_register_states_in_word(1, &w0);
+        assert_eq!(kernel.register_states_in_word(0), w1);
+        assert_eq!(kernel.register_states_in_word(1), w0);
     }
 }

@@ -26,7 +26,11 @@
 //! * [`kernel`] — the default execution engine: the netlist compiled
 //!   once into a flat structure-of-arrays op tape ([`Tape`]) run by a
 //!   straight-line machine ([`KernelSim`]) that is bit-identical to the
-//!   graph walker; [`SimEngine`] selects between the two per run.
+//!   graph walker; [`SimEngine`] selects between the two per run. Each
+//!   shard group runs only the fanout cone of its faults
+//!   (`kernel::Fanout`, `Tape::restrict`), reading every other
+//!   plane from a once-per-run recording of the fault-free machine
+//!   (`kernel::Recording`).
 //! * [`inject`] — functional simulation of one specific fault, used for
 //!   the paper's Section 5 case study (Fig. 2: a missed fault's spike
 //!   train on a sine response).

@@ -170,7 +170,13 @@ pub fn eval_word(a: u64, b: u64, ci: u64, faults: &[(FaFault, u64)]) -> (u64, u6
         let x1 = a ^ b;
         return (x1 ^ ci, (a & b) | (x1 & ci));
     }
-    let apply = |line: Line, v: u64| -> u64 { apply_line_faults(line, v, faults) };
+    eval_network(a, b, ci, |line, v| apply_line_faults(line, v, faults))
+}
+
+/// The five-gate cell network with every line passed through `apply`
+/// (the one definition behind [`eval_word`] and [`LineMasks::eval`]).
+#[inline(always)]
+fn eval_network(a: u64, b: u64, ci: u64, apply: impl Fn(Line, u64) -> u64) -> (u64, u64) {
     let a_stem = apply(Line::AStem, a);
     let a_xor = apply(Line::AXor, a_stem);
     let a_and = apply(Line::AAnd, a_stem);
@@ -188,6 +194,43 @@ pub fn eval_word(a: u64, b: u64, ci: u64, faults: &[(FaFault, u64)]) -> (u64, u6
     let sum = apply(Line::Sum, x1_xor ^ ci_xor);
     let cout = apply(Line::Cout, and1 | and2);
     (sum, cout)
+}
+
+/// A per-lane fault list compiled into one `(keep, force)` mask pair
+/// per line, so faulting a line costs one AND and one OR whatever the
+/// list's length: `apply(line, v) = (v & keep) | force`. Compiling
+/// composes the list's faults in order, exactly as
+/// [`apply_line_faults`] applies them (a stuck-at-1 sets its lanes in
+/// `force`; a stuck-at-0 clears them from both masks), so
+/// [`LineMasks::eval`] equals [`eval_word`] over the same list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LineMasks {
+    keep: [u64; 16],
+    force: [u64; 16],
+}
+
+impl LineMasks {
+    /// Compiles a fault list (each fault paired with its lane mask).
+    pub fn compile(faults: &[(FaFault, u64)]) -> LineMasks {
+        let mut masks = LineMasks { keep: [!0; 16], force: [0; 16] };
+        for &(fault, lanes) in faults {
+            let l = fault.line as usize;
+            if fault.stuck_one {
+                masks.force[l] |= lanes;
+            } else {
+                masks.keep[l] &= !lanes;
+                masks.force[l] &= !lanes;
+            }
+        }
+        masks
+    }
+
+    /// Word-parallel evaluation of the cell under the compiled faults:
+    /// `(sum, cout)`, bit-identical to [`eval_word`].
+    #[inline]
+    pub fn eval(&self, a: u64, b: u64, ci: u64) -> (u64, u64) {
+        eval_network(a, b, ci, |line, v| (v & self.keep[line as usize]) | self.force[line as usize])
+    }
 }
 
 /// Word-parallel evaluation of a *sum-only* cell — the MSB cell of a
@@ -528,5 +571,32 @@ mod tests {
             classes.iter().any(|c| c.detecting_tests & !difficult == 0),
             "no class is confined to the difficult tests"
         );
+    }
+
+    #[test]
+    fn compiled_line_masks_match_the_interpretive_evaluator() {
+        // Random fault lists, overlapping lanes and repeated lines
+        // included: order of application matters there, and the
+        // compiled masks must reproduce it.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..2000 {
+            let n = (next() % 6) as usize;
+            let faults: Vec<(FaFault, u64)> = (0..n)
+                .map(|_| {
+                    let r = next();
+                    let fault =
+                        FaFault { line: ALL_LINES[(r % 16) as usize], stuck_one: r & 16 != 0 };
+                    (fault, next() & next())
+                })
+                .collect();
+            let (a, b, ci) = (next(), next(), next());
+            assert_eq!(LineMasks::compile(&faults).eval(a, b, ci), eval_word(a, b, ci, &faults));
+        }
     }
 }

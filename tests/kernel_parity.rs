@@ -9,6 +9,13 @@
 //! per-fault detection map, the per-fault signature sets, the
 //! good-machine signature, and the coverage figure.
 //!
+//! The kernel runs each shard group over the fanout cone of its faults,
+//! reading every other plane from a recording of the fault-free
+//! machine, and narrows its groups when a stage has few shards; so
+//! every design is also re-run on the kernel at one and three threads
+//! over a dense stage schedule, which repacks shards into differently
+//! shaped groups (and cones) at every boundary.
+//!
 //! Vector counts are tiered so the whole file stays test-suite cheap in
 //! debug builds: the three paper designs run short campaigns, the
 //! architectural variants (symmetric, carry-save) and LP-MINI run
@@ -18,6 +25,7 @@
 use bist_bench::generator;
 use bist_core::session::{BistSession, ResponseCheck, RunConfig};
 use bist_core::SimEngine;
+use faultsim::StageSchedule;
 use filters::FilterDesign;
 
 /// (design, vectors): the paper designs are big, so they get short
@@ -43,25 +51,33 @@ fn every_design_is_bit_identical_across_engines_in_both_modes() {
             let walked = session
                 .run(&mut *gen, &base.clone().with_engine(SimEngine::Walker))
                 .expect("walker run");
-            let mut gen = generator("LFSR-D");
-            let kernel = session
-                .run(&mut *gen, &base.clone().with_engine(SimEngine::Kernel))
-                .expect("kernel run");
-            let tag = format!("{} x {mode:?}", design.name());
-            assert_eq!(
-                walked.result.detection_cycles(),
-                kernel.result.detection_cycles(),
-                "{tag}: per-fault detection map"
-            );
-            assert_eq!(
-                walked.result.signatures(),
-                kernel.result.signatures(),
-                "{tag}: per-fault signature sets"
-            );
-            assert_eq!(walked.signature, kernel.signature, "{tag}: good signature");
-            assert_eq!(walked.artifact.coverage, kernel.artifact.coverage, "{tag}: coverage");
-            assert_eq!(walked.artifact.detected, kernel.artifact.detected, "{tag}: detected");
-            assert_eq!(walked.artifact.aliased, kernel.artifact.aliased, "{tag}: aliased");
+            let dense = StageSchedule::with_boundaries(vec![16, 48, 80]);
+            for (threads, schedule) in
+                [(1, StageSchedule::new()), (1, dense.clone()), (3, dense.clone())]
+            {
+                let config = base
+                    .clone()
+                    .with_engine(SimEngine::Kernel)
+                    .with_threads(threads)
+                    .with_schedule(schedule.clone());
+                let mut gen = generator("LFSR-D");
+                let kernel = session.run(&mut *gen, &config).expect("kernel run");
+                let tag = format!("{} x {mode:?} x {threads}t x {schedule:?}", design.name());
+                assert_eq!(
+                    walked.result.detection_cycles(),
+                    kernel.result.detection_cycles(),
+                    "{tag}: per-fault detection map"
+                );
+                assert_eq!(
+                    walked.result.signatures(),
+                    kernel.result.signatures(),
+                    "{tag}: per-fault signature sets"
+                );
+                assert_eq!(walked.signature, kernel.signature, "{tag}: good signature");
+                assert_eq!(walked.artifact.coverage, kernel.artifact.coverage, "{tag}: coverage");
+                assert_eq!(walked.artifact.detected, kernel.artifact.detected, "{tag}: detected");
+                assert_eq!(walked.artifact.aliased, kernel.artifact.aliased, "{tag}: aliased");
+            }
         }
     }
 }
