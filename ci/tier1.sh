@@ -51,14 +51,15 @@ echo "experiments sat cell: equivalence proved, sampled candidates UNSAT OK"
 ./target/release/experiments structure
 echo "experiments structure cell: collapse bit-identical, census attached OK"
 
-# Kernel differential cell: the flat SoA tape kernel (the default
-# engine, running each shard group over its fanout cone) and the
-# retained graph walker must produce bit-identical verdicts, signatures
-# and coverage on LP-MINI and on the carry-save LP-CSA in both
-# response-check modes (exits non-zero on any divergence). A few
-# seconds.
+# Kernel differential cell: the scheduled fault simulator (the flat
+# SoA tape kernel, running each shard group over its fanout cone) must
+# produce exactly the verdicts, signatures and coverage of the
+# unscheduled reference simulator (every fault on the graph walker from
+# cycle 0, no stages or state carry) on LP-MINI @1024 and on the
+# carry-save LP-CSA @256 in both response-check modes (exits non-zero
+# on any divergence). A few seconds.
 ./target/release/experiments kernel
-echo "experiments kernel cell: walker/kernel bit-identical in both modes OK"
+echo "experiments kernel cell: kernel equals the reference in both modes OK"
 
 # Daemon smoke test: a bistd on a Unix socket must serve a campaign,
 # answer the identical resubmission from its result cache, and drain

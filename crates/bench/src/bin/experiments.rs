@@ -24,10 +24,9 @@
 //!     bench7   top-off seed storage vs misses        (reseeding study)
 //!     bench8   SAT proof-pruning before/after        (redundancy study)
 //!     bench9   structural collapse before/after      (collapsing study)
-//!     bench10  walker vs kernel engine before/after  (SoA kernel study)
 //!     smoke    signature-mode zero-aliasing gate     (CI tier 1)
 //!     structure collapse bit-identity census gate    (CI tier 1)
-//!     kernel   walker-vs-kernel bit-identity gate    (CI tier 1)
+//!     kernel   kernel-vs-reference bit-identity gate (CI tier 1)
 //!     atpg     deterministic top-off coverage gate   (CI tier 1)
 //!     sat      equivalence + redundancy proof gate   (CI tier 1)
 //!     all      everything above
@@ -56,11 +55,11 @@
 
 use bist_bench::{
     cell_lint, cell_lint_mode, generator, lint_tally, mixed_generator, paper_designs, plot,
-    run_config, run_config_mode, run_session, table, SECTION8_GENERATORS,
+    reference_result, run_config, run_config_mode, run_session, table, SECTION8_GENERATORS,
 };
 use bist_core::campaign::CampaignSpec;
 use bist_core::session::{BistSession, ResponseCheck};
-use bist_core::{compat, distribution, variance, zones, SimEngine};
+use bist_core::{compat, distribution, variance, zones};
 use bistd::{Client, ServerAddr};
 use dsp::stats::Summary;
 use filters::FilterDesign;
@@ -129,7 +128,6 @@ fn main() {
     run("bench7", &bench7);
     run("bench8", &bench8);
     run("bench9", &bench9);
-    run("bench10", &bench10);
     run("smoke", &smoke);
     run("structure", &structure_smoke);
     run("kernel", &kernel_smoke);
@@ -150,7 +148,6 @@ fn main() {
             "bench7" => "7",
             "bench8" => "8",
             "bench9" => "9",
-            "bench10" => "10",
             other => other,
         };
         match bist_bench::artifacts::write_bench_json(tag, &path) {
@@ -1509,138 +1506,50 @@ fn bench9() {
     );
 }
 
-/// The `bench10` flat-kernel study: the signature-mode Section 8 grid
-/// (LP/BP/HP under the four Table 4 generators at 4096 vectors, plus
-/// LP-MINI) runs twice per cell — once on the retained graph-walker
-/// engine, once on the flat structure-of-arrays tape kernel — and every
-/// pair must produce bit-identical verdicts: per-fault detection
-/// cycles, per-fault signature sets, the good-machine signature and
-/// the coverage figure (the study exits non-zero otherwise, or if the
-/// kernel's geometric-mean fault-sim speedup falls below 3x). Per-cell
-/// `session.fault_sim` wall times and speedups land in
-/// `BENCH_10.json`'s `comparison` object with `--json`.
-fn bench10() {
-    banner("Flat SoA kernel study: tape kernel vs graph walker, verdicts bit-identical");
-    let mut designs = paper_designs();
-    designs.push(filters::designs::lowpass_mini().expect("LP-MINI elaborates"));
-    let mut rows = Vec::new();
-    let mut cell_entries = Vec::new();
-    let mut speedups: Vec<f64> = Vec::new();
-    for d in &designs {
-        let session = BistSession::new(d).expect("session");
-        // LP-MINI is the sub-second sanity anchor; the paper designs
-        // run the full Table 4 generator roster.
-        let gens: &[&str] = if d.name() == "LP-MINI" { &["LFSR-D"] } else { &SECTION8_GENERATORS };
-        for gen_name in gens {
-            let config = run_config_mode(SECTION8_VECTORS, ResponseCheck::Signature);
-            let mut gen = generator(gen_name);
-            let walked =
-                run_session(&session, &mut *gen, &config.clone().with_engine(SimEngine::Walker));
-            let mut gen = generator(gen_name);
-            let kernel = run_session(&session, &mut *gen, &config.with_engine(SimEngine::Kernel));
-            let identical = walked.result.detection_cycles() == kernel.result.detection_cycles()
-                && walked.result.signatures() == kernel.result.signatures()
-                && walked.signature == kernel.signature
-                && walked.artifact.coverage == kernel.artifact.coverage
-                && walked.artifact.aliased == kernel.artifact.aliased;
-            if !identical {
-                eprintln!(
-                    "bench10 failed on {} x {gen_name}: kernel verdicts diverge from the walker",
-                    d.name()
-                );
-                std::process::exit(1);
-            }
-            let walker_ms = stage_ms(&walked, "session.fault_sim");
-            let kernel_ms = stage_ms(&kernel, "session.fault_sim");
-            let speedup = walker_ms / kernel_ms.max(1e-9);
-            speedups.push(speedup);
-            rows.push(vec![
-                d.name().to_string(),
-                gen_name.to_string(),
-                format!("{:.2}%", 100.0 * kernel.artifact.coverage),
-                format!("{walker_ms:.0}"),
-                format!("{kernel_ms:.0}"),
-                format!("{speedup:.1}x"),
-            ]);
-            cell_entries.push(
-                obs::JsonValue::object()
-                    .push("design", d.name())
-                    .push("generator", gen_name.to_string())
-                    .push("mode", "signature")
-                    .push("walker_sim_ms", walker_ms)
-                    .push("kernel_sim_ms", kernel_ms)
-                    .push("speedup", speedup)
-                    .push("verdicts_identical", identical),
-            );
-        }
-    }
-    println!(
-        "{}",
-        table::render(&["Des.", "gen", "coverage", "walker ms", "kernel ms", "speedup"], &rows)
-    );
-    println!("'walker ms'/'kernel ms' are the fault-sim stage wall times of the same");
-    println!("campaign under the two engines; verdicts (detection cycles, per-fault");
-    println!("signatures, good signature, coverage) were verified bit-identical per cell.");
-    let min = speedups.iter().copied().fold(f64::INFINITY, f64::min);
-    let geomean = (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp();
-    println!(
-        "\n  kernel speedup: min {min:.2}x, geomean {geomean:.2}x over {} cells",
-        speedups.len()
-    );
-    if geomean < 3.0 {
-        eprintln!("bench10 failed: geomean kernel speedup {geomean:.2}x is below the 3x gate");
-        std::process::exit(1);
-    }
-    bist_bench::artifacts::set_comparison(
-        obs::JsonValue::object()
-            .push("study", "soa_kernel")
-            .push("vectors", SECTION8_VECTORS as u64)
-            .push("mode", "signature")
-            .push("min_speedup", min)
-            .push("geomean_speedup", geomean)
-            .push("cells", obs::JsonValue::Array(cell_entries)),
-    );
-}
-
 /// The `kernel` CI cell (tier1.sh): the LP-MINI campaign, and a
 /// shorter LP-CSA one (whose carry-save stages put the sum-to-carry
-/// cone edge under test), must produce bit-identical verdicts under the
-/// graph walker and the flat tape kernel in both response-check modes
-/// (detection cycles, per-fault signatures, good signature, coverage),
-/// and the compiled tape must be a non-trivial straight-line program. A
+/// cone edge under test), must give the scheduled tape kernel exactly
+/// the verdicts of the unscheduled reference simulator
+/// ([`reference_result`]) in both response-check modes: detection
+/// cycles, per-fault signatures, the good signature and coverage. The
+/// compiled tape must also be a non-trivial straight-line program. A
 /// few seconds; exits non-zero otherwise.
 fn kernel_smoke() {
-    banner("CI kernel cell: LP-MINI and LP-CSA walker vs tape kernel, bit-identical in both modes");
+    banner("CI kernel cell: LP-MINI and LP-CSA tape kernel vs reference, both modes");
     let cells = [
         (filters::designs::lowpass_mini().expect("LP-MINI elaborates"), 1024),
         (filters::designs::lowpass_carry_save().expect("LP-CSA elaborates"), 256),
     ];
     for (d, vectors) in &cells {
         let session = BistSession::new(d).expect("session");
-        for mode in [ResponseCheck::Trace, ResponseCheck::Signature] {
-            let mode_name = match mode {
-                ResponseCheck::Trace => "trace",
-                ResponseCheck::Signature => "signature",
-            };
+        let traced = reference_result(&session, "LFSR-D", &run_config(*vectors));
+        let signed = reference_result(
+            &session,
+            "LFSR-D",
+            &run_config_mode(*vectors, ResponseCheck::Signature),
+        );
+        // Trace mode has no per-fault signatures; its good signature
+        // is still the fault-free MISR state of the signature run.
+        let good = signed.good_signature();
+        for (mode, expected) in
+            [(ResponseCheck::Trace, &traced), (ResponseCheck::Signature, &signed)]
+        {
             let config = run_config_mode(*vectors, mode);
             let mut gen = generator("LFSR-D");
-            let walked =
-                run_session(&session, &mut *gen, &config.clone().with_engine(SimEngine::Walker));
-            let mut gen = generator("LFSR-D");
-            let kernel = run_session(&session, &mut *gen, &config.with_engine(SimEngine::Kernel));
-            if walked.result.detection_cycles() != kernel.result.detection_cycles()
-                || walked.result.signatures() != kernel.result.signatures()
-                || walked.signature != kernel.signature
-                || walked.artifact.coverage != kernel.artifact.coverage
+            let kernel = run_session(&session, &mut *gen, &config);
+            if kernel.result.detection_cycles() != expected.detection_cycles()
+                || kernel.result.signatures() != expected.signatures()
+                || Some(kernel.signature) != good
+                || kernel.artifact.coverage != expected.coverage_after(expected.total_cycles())
             {
                 eprintln!(
-                    "kernel cell failed: {} {mode_name}-mode verdicts diverge between engines",
+                    "kernel cell failed: {} {mode}-mode kernel verdicts diverge from the reference",
                     d.name()
                 );
                 std::process::exit(1);
             }
             println!(
-                "  {} {mode_name} @{vectors}: {} faults, coverage {:.2}%, verdicts bit-identical",
+                "  {} {mode} @{vectors}: {} faults, coverage {:.2}%, verdicts bit-identical",
                 d.name(),
                 kernel.artifact.total_faults,
                 100.0 * kernel.artifact.coverage
@@ -1655,7 +1564,7 @@ fn kernel_smoke() {
     }
     println!(
         "kernel cell: LP-MINI tape {} op(s) in {} segment(s) over {} slot plane(s), \
-         both designs identical in both modes",
+         both designs equal to the reference in both modes",
         tape.op_count(),
         tape.segment_count(),
         tape.slot_count(),

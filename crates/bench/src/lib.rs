@@ -13,7 +13,9 @@ pub mod plot;
 pub mod table;
 
 use bist_core::campaign::CampaignSpec;
+use bist_core::misr::Misr;
 use bist_core::session::{BistRun, BistSession, ResponseCheck, RunConfig, SessionError};
+use faultsim::{FaultSimResult, SignatureConfig};
 use filters::FilterDesign;
 use tpg::{Mixed, TestGenerator};
 
@@ -85,6 +87,35 @@ pub fn run_session(
     let run = session.run(gen, &config).expect("registry generators match the 12-bit designs");
     artifacts::record(run.artifact.clone());
     run
+}
+
+/// What [`BistSession::run`] must report for `gen_name` under
+/// `config`, from [`faultsim::reference::simulate`]: the session's
+/// universe over the same aligned input words, with the configured
+/// MISR in signature mode. Only the test length, MISR width and
+/// response check of `config` matter; threads and the stage schedule
+/// have no counterpart in the reference. The parity tests and the
+/// `kernel` CI cell hold the scheduled kernel to it.
+///
+/// # Panics
+///
+/// Panics on an unknown generator name or a MISR width without a
+/// tabulated polynomial.
+pub fn reference_result(
+    session: &BistSession<'_>,
+    gen_name: &str,
+    config: &RunConfig,
+) -> FaultSimResult {
+    let design = session.design();
+    let mut gen = generator(gen_name);
+    gen.reset();
+    let inputs: Vec<i64> =
+        (0..config.vectors()).map(|_| design.align_input(gen.next_word())).collect();
+    let signature = (config.response_check() == ResponseCheck::Signature).then(|| {
+        let misr = Misr::new(config.misr_width()).expect("tabulated MISR width");
+        SignatureConfig { width: misr.width(), poly: misr.poly_low() }
+    });
+    faultsim::reference::simulate(design.netlist(), session.universe(), &inputs, signature)
 }
 
 /// Static lint summary for one experiment grid cell — the

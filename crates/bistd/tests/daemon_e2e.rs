@@ -1,9 +1,12 @@
 //! End-to-end daemon tests: real sockets, real campaigns (on the
 //! LP-MINI design so each runs in milliseconds), real shutdown.
 
-use bist_bistd::{Client, ClientError, Daemon, DaemonConfig, ServerAddr};
+use bist_bistd::proto::Response;
+use bist_bistd::{frame, Client, ClientError, Daemon, DaemonConfig, ServerAddr};
 use bist_core::campaign::CampaignSpec;
 use obs::JsonValue;
+use std::io::BufReader;
+use std::net::TcpStream;
 use std::path::PathBuf;
 
 fn tcp_daemon(config: DaemonConfig) -> (Daemon, ServerAddr) {
@@ -178,30 +181,76 @@ fn collapse_specs_round_trip_through_the_daemon() {
     daemon.join().unwrap();
 }
 
+/// Sends one raw request payload on its own connection and parses the
+/// reply: for wire forms the typed client cannot produce.
+fn raw_request(addr: &ServerAddr, payload: &str) -> Response {
+    let ServerAddr::Tcp(tcp) = addr else { panic!("raw requests go over TCP") };
+    let stream = TcpStream::connect(tcp).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    frame::write_frame(&mut writer, payload).unwrap();
+    let reply = frame::read_frame(&mut reader).unwrap().expect("the daemon replies");
+    Response::parse(&reply).unwrap()
+}
+
 #[test]
-fn engine_specs_round_trip_through_the_daemon() {
+fn retired_engine_field_shares_the_default_cache_entry() {
     let (daemon, addr) = tcp_daemon(DaemonConfig::default());
     let mut client = Client::connect(&addr).unwrap();
+    let cold = client.run_campaign(&mini_spec(64), None).unwrap();
+    assert!(!cold.cached);
+    assert!(!cold.key.contains("engine"), "{}", cold.key);
 
-    // The walker is the non-default engine, so it shows up in the cache
-    // key — after every other stage suffix.
-    let spec = CampaignSpec { engine: bist_core::SimEngine::Walker, ..mini_spec(64) };
-    let walked = client.run_campaign(&spec, None).unwrap();
-    assert!(walked.key.ends_with(";engine=walker"), "{}", walked.key);
-
-    // The default kernel engine stays out of the key (old cache entries
-    // keep their addresses) and produces bit-identical verdicts.
-    let kernel = client.run_campaign(&mini_spec(64), None).unwrap();
-    assert!(!kernel.cached);
-    assert!(!kernel.key.contains("engine"), "{}", kernel.key);
-    for field in ["detected", "missed", "coverage", "signature", "total_faults"] {
-        assert_eq!(
-            walked.artifact.get(field).map(JsonValue::to_json),
-            kernel.artifact.get(field).map(JsonValue::to_json),
-            "{field} must not depend on the engine"
-        );
+    // A peer that predates the single engine still sends "engine";
+    // the field is ignored, so the spec lands on the default key and
+    // hits the entry the default spec just filled.
+    for engine in ["walker", "kernel"] {
+        let spec = mini_spec(64).to_json().push("engine", engine);
+        let payload = JsonValue::object().push("op", "submit").push("spec", spec);
+        match raw_request(&addr, &payload.to_json()) {
+            Response::Submitted { cached, key, .. } => {
+                assert!(cached, "engine={engine} must hit the default entry");
+                assert_eq!(key, cold.key, "engine={engine}");
+            }
+            other => panic!("engine={engine}: {other:?}"),
+        }
     }
 
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+}
+
+#[test]
+fn oversized_cycle_counts_are_refused_and_the_daemon_keeps_serving() {
+    let (daemon, addr) = tcp_daemon(DaemonConfig { workers: 1, ..DaemonConfig::default() });
+    let mut client = Client::connect(&addr).unwrap();
+    // 10^12 vectors passed admission once and the worker's pattern
+    // buffer allocation aborted the whole daemon; the fault simulator
+    // counts cycles in a u32, so admission refuses it now.
+    let huge = CampaignSpec::new("LP-MINI", "LFSR-D", 1_000_000_000_000);
+    match client.submit(&huge, None).unwrap_err() {
+        ClientError::Server { code, message, .. } => {
+            assert_eq!(code, "bad_request");
+            assert!(
+                message.contains("invalid session configuration: vectors must be at most"),
+                "{message}"
+            );
+        }
+        other => panic!("{other}"),
+    }
+    // A MISR width past u32 is refused too, instead of being truncated.
+    let payload = "{\"op\":\"submit\",\"spec\":{\"design\":\"LP-MINI\",\"generator\":\"LFSR-D\",\
+                   \"vectors\":64,\"misr_width\":4294967312}}";
+    match raw_request(&addr, payload) {
+        Response::Error { code, message, .. } => {
+            assert_eq!(code, "bad_request");
+            assert!(message.contains("'misr_width' must be a u32"), "{message}");
+        }
+        other => panic!("{other:?}"),
+    }
+    // The daemon is still up and serves the next campaign.
+    let next = client.run_campaign(&mini_spec(32), None).unwrap();
+    assert_eq!(next.artifact.get("vectors").and_then(JsonValue::as_u64), Some(32));
     client.shutdown().unwrap();
     daemon.join().unwrap();
 }

@@ -13,7 +13,7 @@
 
 use crate::session::{BistRun, BistSession, ResponseCheck, RunConfig, SatConfig, SessionError};
 use atpg::TopOffConfig;
-use faultsim::{CancelToken, SimEngine, StageSchedule};
+use faultsim::{CancelToken, StageSchedule};
 use filters::FilterDesign;
 use obs::JsonValue;
 use std::fmt::Write as _;
@@ -63,10 +63,6 @@ pub struct CampaignSpec {
     /// equivalence-class representatives and expand verdicts back
     /// (results stay byte-identical); `false` = disabled.
     pub collapse: bool,
-    /// Fault-simulation execution engine: the compiled tape kernel
-    /// (default) or the graph walker retained for differential runs.
-    /// Results are bit-identical under either engine.
-    pub engine: SimEngine,
 }
 
 impl CampaignSpec {
@@ -85,7 +81,6 @@ impl CampaignSpec {
             topoff: None,
             sat: None,
             collapse: false,
-            engine: SimEngine::default(),
         }
     }
 
@@ -113,13 +108,6 @@ impl CampaignSpec {
     /// (builder-style convenience).
     pub fn with_collapse(mut self, collapse: bool) -> Self {
         self.collapse = collapse;
-        self
-    }
-
-    /// The same spec under a specific fault-simulation engine
-    /// (builder-style convenience).
-    pub fn with_engine(mut self, engine: SimEngine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -152,6 +140,12 @@ impl CampaignSpec {
         }
         if self.vectors == 0 {
             return Err(SessionError::InvalidConfig { reason: "vectors must be positive".into() });
+        }
+        // The fault simulator counts cycles in a u32.
+        if u32::try_from(self.vectors).is_err() {
+            return Err(SessionError::InvalidConfig {
+                reason: format!("vectors must be at most {} (got {})", u32::MAX, self.vectors),
+            });
         }
         if let Some(b) = &self.boundaries {
             if !b.windows(2).all(|w| w[0] < w[1]) {
@@ -221,13 +215,6 @@ impl CampaignSpec {
         if self.collapse {
             out.push_str(";collapse=on");
         }
-        // The engine suffix appears only for the non-default walker:
-        // kernel results are bit-identical to historical walker runs,
-        // so default specs keep their exact pre-kernel cache keys,
-        // while an explicit walker request gets its own key.
-        if self.engine == SimEngine::Walker {
-            out.push_str(";engine=walker");
-        }
         out
     }
 
@@ -258,15 +245,13 @@ impl CampaignSpec {
         if self.collapse {
             v = v.push("collapse", true);
         }
-        if self.engine == SimEngine::Walker {
-            v = v.push("engine", self.engine.as_str());
-        }
         v
     }
 
     /// Reads a spec back from its wire form. Missing optional fields
     /// (`misr_width`, `mode`, `boundaries`, `threads`) take the
-    /// defaults.
+    /// defaults; unknown fields are ignored (among them the retired
+    /// `engine`, whose two engines gave bit-identical verdicts).
     ///
     /// # Errors
     ///
@@ -359,31 +344,19 @@ impl CampaignSpec {
                 reason: "'collapse' must be a boolean".into(),
             })?,
         };
-        // Missing or null means the default kernel, so pre-kernel peers
-        // and cache spills keep parsing.
-        let engine = match v.get("engine") {
-            None | Some(JsonValue::Null) => SimEngine::default(),
-            Some(e) => {
-                let name = e.as_str().ok_or_else(|| SessionError::InvalidConfig {
-                    reason: "'engine' must be a string".into(),
-                })?;
-                SimEngine::parse(name).ok_or_else(|| SessionError::InvalidConfig {
-                    reason: format!("unknown simulation engine '{name}'"),
-                })?
-            }
-        };
         Ok(CampaignSpec {
             design: text("design")?,
             generator: text("generator")?,
             vectors: number("vectors", 0)? as usize,
-            misr_width: number("misr_width", 16)? as u32,
+            misr_width: u32::try_from(number("misr_width", 16)?).map_err(|_| {
+                SessionError::InvalidConfig { reason: "'misr_width' must be a u32".into() }
+            })?,
             mode,
             boundaries,
             threads: number("threads", 0)? as usize,
             topoff,
             sat,
             collapse,
-            engine,
         })
     }
 
@@ -424,7 +397,6 @@ impl CampaignSpec {
             config = config.with_sat_prune(*s);
         }
         config = config.with_collapse(self.collapse);
-        config = config.with_engine(self.engine);
         if let Some(token) = cancel {
             config = config.with_cancel(token);
         }
@@ -556,7 +528,6 @@ mod tests {
             base.clone().with_topoff(TopOffConfig::default()),
             base.clone().with_sat(SatConfig::default()),
             base.clone().with_collapse(true),
-            base.clone().with_engine(SimEngine::Walker),
         ] {
             assert_ne!(base.canonical(), changed.canonical(), "{changed:?}");
         }
@@ -587,16 +558,6 @@ mod tests {
             all.canonical()
         );
         assert!(!base.canonical().contains("collapse"), "{}", base.canonical());
-        // The engine suffix appears only for the non-default walker
-        // (kernel runs are bit-identical, so default specs keep their
-        // exact pre-kernel cache keys) and sits last.
-        let walked = all.with_engine(SimEngine::Walker);
-        assert!(
-            walked.canonical().ends_with(";collapse=on;engine=walker"),
-            "{}",
-            walked.canonical()
-        );
-        assert!(!base.canonical().contains("engine"), "{}", base.canonical());
     }
 
     #[test]
@@ -612,11 +573,9 @@ mod tests {
             topoff: Some(TopOffConfig { block_len: 128, max_seeds: 4 }),
             sat: Some(SatConfig { max_conflicts: 5000, equiv: true }),
             collapse: true,
-            engine: SimEngine::Walker,
         };
         assert_eq!(CampaignSpec::from_json(&full.to_json()).unwrap(), full);
         assert!(full.to_json().to_json().contains("\"collapse\":true"));
-        assert!(full.to_json().to_json().contains("\"engine\":\"walker\""));
         assert!(full
             .to_json()
             .to_json()
@@ -635,28 +594,32 @@ mod tests {
         assert_eq!(spec.topoff, None);
         assert_eq!(spec.sat, None);
         assert!(!spec.collapse);
-        assert_eq!(spec.engine, SimEngine::Kernel);
         assert!(!spec.to_json().to_json().contains("topoff"), "absent knob stays off the wire");
         assert!(!spec.to_json().to_json().contains("sat"), "absent knob stays off the wire");
         assert!(!spec.to_json().to_json().contains("collapse"), "absent knob stays off the wire");
-        assert!(!spec.to_json().to_json().contains("engine"), "default engine stays off the wire");
         // A pre-collapse peer may spell the knob as an explicit null.
         let nulled = JsonValue::parse(
             "{\"design\":\"LP\",\"generator\":\"LFSR-1\",\"vectors\":64,\"collapse\":null}",
         )
         .unwrap();
         assert!(!CampaignSpec::from_json(&nulled).unwrap().collapse);
-        // Same for a pre-kernel peer and the engine knob.
-        let nulled = JsonValue::parse(
-            "{\"design\":\"LP\",\"generator\":\"LFSR-1\",\"vectors\":64,\"engine\":null}",
-        )
-        .unwrap();
-        assert_eq!(CampaignSpec::from_json(&nulled).unwrap().engine, SimEngine::Kernel);
-        let walker = JsonValue::parse(
-            "{\"design\":\"LP\",\"generator\":\"LFSR-1\",\"vectors\":64,\"engine\":\"walker\"}",
-        )
-        .unwrap();
-        assert_eq!(CampaignSpec::from_json(&walker).unwrap().engine, SimEngine::Walker);
+    }
+
+    #[test]
+    fn retired_engine_field_parses_to_the_default_key() {
+        // Specs from peers and cache spills that predate the single
+        // engine still carry "engine"; it is ignored like any unknown
+        // field, so every spelling lands on the default spec's key.
+        let default_key = CampaignSpec::new("LP", "LFSR-1", 64).canonical();
+        for engine in ["\"walker\"", "\"kernel\"", "null", "7"] {
+            let text = format!(
+                "{{\"design\":\"LP\",\"generator\":\"LFSR-1\",\"vectors\":64,\"engine\":{engine}}}"
+            );
+            let spec = CampaignSpec::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
+            assert_eq!(spec, CampaignSpec::new("LP", "LFSR-1", 64), "{text}");
+            assert_eq!(spec.canonical(), default_key, "{text}");
+            assert!(!spec.to_json().to_json().contains("engine"), "{text}");
+        }
     }
 
     #[test]
@@ -695,15 +658,6 @@ mod tests {
                 "{\"design\":\"LP\",\"generator\":\"LFSR-1\",\"vectors\":64,\"collapse\":7}",
                 "'collapse' must be a boolean",
             ),
-            (
-                "{\"design\":\"LP\",\"generator\":\"LFSR-1\",\"vectors\":64,\"engine\":7}",
-                "'engine' must be a string",
-            ),
-            (
-                "{\"design\":\"LP\",\"generator\":\"LFSR-1\",\"vectors\":64,\
-                 \"engine\":\"graph\"}",
-                "unknown simulation engine 'graph'",
-            ),
         ] {
             let v = JsonValue::parse(text).unwrap();
             let err = CampaignSpec::from_json(&v).unwrap_err();
@@ -741,6 +695,35 @@ mod tests {
     }
 
     #[test]
+    fn cycle_counts_and_widths_past_u32_are_rejected() {
+        // The fault simulator counts cycles in a u32: the largest
+        // count is admitted, one more is not.
+        let max = u32::MAX as usize;
+        assert!(CampaignSpec::new("LP", "LFSR-D", max).validate().is_ok());
+        let err = CampaignSpec::new("LP", "LFSR-D", max + 1).validate().unwrap_err();
+        assert!(matches!(err, SessionError::InvalidConfig { .. }), "{err}");
+        assert!(err.to_string().contains("vectors must be at most 4294967295"), "{err}");
+        let err = CampaignSpec::new("LP-MINI", "LFSR-D", 1_000_000_000_000).validate().unwrap_err();
+        assert!(err.to_string().contains("vectors"), "{err}");
+        // A width past u32 is an error, not a silent truncation
+        // (2^32 + 16 would otherwise read as 16).
+        let wide = JsonValue::parse(
+            "{\"design\":\"LP\",\"generator\":\"LFSR-1\",\"vectors\":64,\
+             \"misr_width\":4294967312}",
+        )
+        .unwrap();
+        let err = CampaignSpec::from_json(&wide).unwrap_err();
+        assert!(matches!(err, SessionError::InvalidConfig { .. }), "{err}");
+        assert!(err.to_string().contains("'misr_width' must be a u32"), "{err}");
+        let max_width = JsonValue::parse(
+            "{\"design\":\"LP\",\"generator\":\"LFSR-1\",\"vectors\":64,\
+             \"misr_width\":4294967295}",
+        )
+        .unwrap();
+        assert_eq!(CampaignSpec::from_json(&max_width).unwrap().misr_width, u32::MAX);
+    }
+
+    #[test]
     fn registry_builds_every_known_name() {
         for name in KNOWN_GENERATORS {
             let mut g = build_generator(name).unwrap();
@@ -775,25 +758,6 @@ mod tests {
     }
 
     #[test]
-    fn walker_and_kernel_runs_are_byte_identical() {
-        // The retained walker is the differential oracle for the
-        // compiled kernel: whole-artifact equality in both response
-        // modes on the miniature design.
-        for mode in [ResponseCheck::Trace, ResponseCheck::Signature] {
-            let base = CampaignSpec { threads: 1, ..CampaignSpec::new("LP-MINI", "LFSR-D", 96) }
-                .with_mode(mode);
-            let kernel = base.clone().with_engine(SimEngine::Kernel).run(None).unwrap();
-            let walker = base.with_engine(SimEngine::Walker).run(None).unwrap();
-            assert_eq!(kernel.signature, walker.signature);
-            assert_eq!(kernel.missed(), walker.missed());
-            assert_eq!(kernel.artifact.coverage, walker.artifact.coverage);
-            assert_eq!(kernel.artifact.detected, walker.artifact.detected);
-            assert_eq!(kernel.artifact.signature, walker.artifact.signature);
-            assert_eq!(kernel.artifact.aliased, walker.artifact.aliased);
-        }
-    }
-
-    #[test]
     fn run_linted_attaches_diagnostics_to_the_artifact() {
         let spec = CampaignSpec { threads: 1, ..CampaignSpec::new("LP-MINI", "LFSR-D", 32) };
         let diags = vec![obs::Diagnostic::new(
@@ -823,7 +787,6 @@ mod tests {
             topoff: Some(TopOffConfig { block_len: 64, max_seeds: 2 }),
             sat: Some(SatConfig { max_conflicts: 999, equiv: false }),
             collapse: true,
-            engine: SimEngine::Walker,
         };
         let config = spec.run_config(Some(CancelToken::new()));
         assert_eq!(config.vectors(), 777);
@@ -835,12 +798,10 @@ mod tests {
         assert_eq!(config.top_off(), Some(&TopOffConfig { block_len: 64, max_seeds: 2 }));
         assert_eq!(config.sat_prune(), Some(&SatConfig { max_conflicts: 999, equiv: false }));
         assert!(config.collapse());
-        assert_eq!(config.engine(), SimEngine::Walker);
         // Without the knobs the config leaves every stage off.
         let plain = CampaignSpec::new("LP", "LFSR-D", 64).run_config(None);
         assert_eq!(plain.top_off(), None);
         assert_eq!(plain.sat_prune(), None);
         assert!(!plain.collapse());
-        assert_eq!(plain.engine(), SimEngine::Kernel);
     }
 }

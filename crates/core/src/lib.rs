@@ -68,5 +68,4 @@ pub mod variance;
 pub mod zones;
 
 pub use atpg::TopOffConfig;
-pub use faultsim::SimEngine;
 pub use session::{BistRun, BistSession, RunConfig, SatConfig, SessionError};

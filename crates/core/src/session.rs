@@ -9,7 +9,7 @@ use crate::misr::Misr;
 use atpg::TopOffConfig;
 use faultsim::{
     CancelToken, FaultId, FaultSimResult, FaultUniverse, ParallelFaultSimulator, SignatureConfig,
-    SimEngine, SimOptions, StageSchedule,
+    SimOptions, StageSchedule,
 };
 use filters::FilterDesign;
 use obs::{
@@ -217,7 +217,6 @@ pub struct RunConfig {
     top_off: Option<TopOffConfig>,
     sat: Option<SatConfig>,
     collapse: bool,
-    engine: SimEngine,
 }
 
 impl RunConfig {
@@ -237,7 +236,6 @@ impl RunConfig {
             top_off: None,
             sat: None,
             collapse: false,
-            engine: SimEngine::default(),
         }
     }
 
@@ -390,20 +388,6 @@ impl RunConfig {
     /// Whether structural fault collapsing is enabled.
     pub fn collapse(&self) -> bool {
         self.collapse
-    }
-
-    /// Selects the fault-simulation execution engine (default:
-    /// [`SimEngine::Kernel`], the compiled straight-line tape). The
-    /// walker is retained for differential testing; results are
-    /// bit-identical under either engine.
-    pub fn with_engine(mut self, engine: SimEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The selected fault-simulation execution engine.
-    pub fn engine(&self) -> SimEngine {
-        self.engine
     }
 }
 
@@ -631,7 +615,6 @@ impl<'d> BistSession<'d> {
         let mut options = SimOptions::new()
             .with_schedule(config.schedule().clone())
             .with_threads(config.threads())
-            .with_engine(config.engine())
             .with_metrics(Arc::clone(&registry));
         if let Some(token) = config.cancel() {
             options = options.with_cancel(token.clone());

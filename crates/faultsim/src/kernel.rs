@@ -60,11 +60,13 @@
 //! [`rtl::fulladder::eval_word`], same per-cell carry chaining).
 //! [`KernelSim`] therefore produces the same output planes, register
 //! snapshots, detection masks and MISR foldings bit-for-bit — the
-//! differential tests in this crate and the `kernel` experiments cell
-//! hold the two engines equal on every built-in design. A cone tape
-//! adds one argument: a plane outside the fanout of every injected
-//! fault equals the fault-free machine's, so filling it from the
-//! recording changes nothing (DESIGN.md §14, "Cone sub-tapes").
+//! differential tests in this crate hold the two machines equal, and
+//! the parity tests and the `kernel` experiments cell hold the
+//! scheduled simulator equal to [`crate::reference`] on every built-in
+//! design. A cone tape adds one argument: a plane outside the fanout
+//! of every injected fault equals the fault-free machine's, so filling
+//! it from the recording changes nothing (DESIGN.md §14, "Cone
+//! sub-tapes").
 //!
 //! Determinism: compilation and execution are pure functions of the
 //! netlist, the input words and the injected faults — no hashing
@@ -898,7 +900,7 @@ impl Recording {
 type WordPatches = Vec<(u32, LineMasks)>;
 
 /// A machine executing a [`Tape`]: the walker-compatible engine behind
-/// the parallel fault simulator's default configuration.
+/// the parallel fault simulator.
 ///
 /// The API mirrors [`rtl::sim::BitSlicedSim`] (step, fault injection,
 /// output diff, MISR folding, per-lane register snapshots) and is

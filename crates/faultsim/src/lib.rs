@@ -23,14 +23,17 @@
 //!   reports end-of-test signatures and the exact set of
 //!   compare-detected faults that would escape a signature-only check
 //!   ([`FaultSimResult::aliased`]).
-//! * [`kernel`] — the default execution engine: the netlist compiled
-//!   once into a flat structure-of-arrays op tape ([`Tape`]) run by a
+//! * [`kernel`] — the execution engine: the netlist compiled once into
+//!   a flat structure-of-arrays op tape ([`Tape`]) run by a
 //!   straight-line machine ([`KernelSim`]) that is bit-identical to the
-//!   graph walker; [`SimEngine`] selects between the two per run. Each
-//!   shard group runs only the fanout cone of its faults
-//!   (`kernel::Fanout`, `Tape::restrict`), reading every other
-//!   plane from a once-per-run recording of the fault-free machine
-//!   (`kernel::Recording`).
+//!   graph walker [`rtl::sim::BitSlicedSim`]. Each shard group runs
+//!   only the fanout cone of its faults (`kernel::Fanout`,
+//!   `Tape::restrict`), reading every other plane from a once-per-run
+//!   recording of the fault-free machine (`kernel::Recording`).
+//! * [`reference`](mod@reference) — the oracle: every fault simulated on the graph
+//!   walker from cycle 0 to the end, 63 to a pack, with no stages,
+//!   threads, cones or state carry. The parity tests hold the
+//!   parallel simulator's verdicts and signatures equal to it.
 //! * [`inject`] — functional simulation of one specific fault, used for
 //!   the paper's Section 5 case study (Fig. 2: a missed fault's spike
 //!   train on a sine response).
@@ -67,11 +70,12 @@ mod sim;
 pub mod census;
 pub mod inject;
 pub mod kernel;
+pub mod reference;
 pub mod report;
 
 pub use fault::{FaultId, FaultSite, FaultUniverse};
 pub use kernel::{KernelSim, OpKind, Tape};
 pub use sim::{
     CancelToken, Cancelled, FaultSimResult, ParallelFaultSimulator, SignatureConfig, SignatureSet,
-    SimEngine, SimOptions, StageSchedule,
+    SimOptions, StageSchedule,
 };

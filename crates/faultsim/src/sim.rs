@@ -2,7 +2,7 @@ use crate::fault::{FaultId, FaultUniverse};
 use crate::kernel::{Cone, Fanout, KernelSim, Recording, Tape};
 use obs::Registry;
 use rtl::misr::MisrBank;
-use rtl::sim::{BitSlicedSim, CellFault};
+use rtl::sim::CellFault;
 use rtl::Netlist;
 use std::collections::HashMap;
 use std::error::Error;
@@ -78,14 +78,14 @@ impl Error for Cancelled {}
 
 /// Faulty machines per 64-lane bit-sliced pass (lane 0 is the good
 /// machine).
-const LANES_PER_PASS: usize = 63;
+pub(crate) const LANES_PER_PASS: usize = 63;
 
 /// Fault shards batched into one kernel machine: the tape executes
 /// this many independent 64-lane pattern words per op, so the
 /// serialized ripple-carry chain of one shard pipelines against its
 /// neighbours' and the per-op decode cost is amortized. Stages with
 /// too few shards to feed every worker narrow it (see
-/// [`group_width`]). The walker always carries one word.
+/// [`group_width`]).
 const KERNEL_WORDS: usize = 16;
 
 /// Cycles between cancellation polls inside a shard group.
@@ -162,44 +162,6 @@ pub struct SignatureConfig {
     pub poly: u64,
 }
 
-/// Which bit-sliced execution engine a run simulates machines with.
-///
-/// Both engines are bit-identical — same detection cycles, signatures
-/// and register snapshots on every design (the differential tests and
-/// the `kernel` experiments cell hold them equal) — so this knob trades
-/// only speed: the compiled tape eliminates per-node dispatch and the
-/// walker's whole-node faulted slow path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimEngine {
-    /// The compiled straight-line tape ([`crate::kernel::KernelSim`]),
-    /// the default since PR 10.
-    #[default]
-    Kernel,
-    /// The original graph walker ([`rtl::sim::BitSlicedSim`]), retained
-    /// for differential testing.
-    Walker,
-}
-
-impl SimEngine {
-    /// Canonical lowercase name (`"kernel"` / `"walker"`), used in
-    /// cache keys and on the wire.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SimEngine::Kernel => "kernel",
-            SimEngine::Walker => "walker",
-        }
-    }
-
-    /// Parses a canonical engine name.
-    pub fn parse(s: &str) -> Option<SimEngine> {
-        match s {
-            "kernel" => Some(SimEngine::Kernel),
-            "walker" => Some(SimEngine::Walker),
-            _ => None,
-        }
-    }
-}
-
 /// Options controlling a fault-simulation run: the fault-dropping
 /// [`StageSchedule`] and the number of worker threads the fault
 /// universe is sharded across.
@@ -215,7 +177,6 @@ pub struct SimOptions {
     metrics: Option<Arc<Registry>>,
     cancel: Option<CancelToken>,
     signature: Option<SignatureConfig>,
-    engine: SimEngine,
 }
 
 impl SimOptions {
@@ -229,7 +190,6 @@ impl SimOptions {
             metrics: None,
             cancel: None,
             signature: None,
-            engine: SimEngine::default(),
         }
     }
 
@@ -305,18 +265,6 @@ impl SimOptions {
         self.signature
     }
 
-    /// Selects the execution engine (default: [`SimEngine::Kernel`]).
-    /// Detection results are bit-identical under either engine.
-    pub fn with_engine(mut self, engine: SimEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The selected execution engine.
-    pub fn engine(&self) -> SimEngine {
-        self.engine
-    }
-
     /// The configured stage schedule.
     pub fn schedule(&self) -> &StageSchedule {
         &self.schedule
@@ -359,9 +307,9 @@ pub struct SignatureSet {
 /// Result of a fault-simulation run.
 #[derive(Debug, Clone)]
 pub struct FaultSimResult {
-    detection_cycle: Vec<Option<u32>>,
-    total_cycles: u32,
-    signatures: Option<SignatureSet>,
+    pub(crate) detection_cycle: Vec<Option<u32>>,
+    pub(crate) total_cycles: u32,
+    pub(crate) signatures: Option<SignatureSet>,
 }
 
 impl FaultSimResult {
@@ -486,17 +434,16 @@ struct ShardOutcome {
 }
 
 /// The fault-free machine: one single-word machine over the whole
-/// netlist (the compiled tape on the kernel engine), advanced over each
-/// stage just before that stage's groups run, so every cycle of it is
-/// simulated once per run.
+/// compiled tape, advanced over each stage just before that stage's
+/// groups run, so every cycle of it is simulated once per run.
 struct GoodMachine<'a> {
-    sim: ShardMachine<'a>,
+    sim: KernelSim<'a>,
     bank: Option<MisrBank>,
     /// Register state and partial signature at the current cycle.
     state: MachineState,
-    /// The kernel engine's slot recording of the current stage, from
-    /// which cone machines fill their boundary slots.
-    recording: Option<Recording>,
+    /// The slot recording of the current stage, from which cone
+    /// machines fill their boundary slots.
+    recording: Recording,
 }
 
 /// One stage's shared, read-only inputs to every shard group.
@@ -508,153 +455,63 @@ struct StageCtx<'s> {
     exit: &'s MachineState,
     /// Carried states of the faults that entered this stage.
     states: &'s HashMap<FaultId, MachineState>,
-    inputs: &'s [i64],
-    recording: Option<&'s Recording>,
+    recording: &'s Recording,
 }
 
-/// Shards batched into one machine, with (on the kernel engine) the
-/// union of their faults' fanout cones.
+/// Shards batched into one machine, with the union of their faults'
+/// fanout cones.
 struct Group<'g> {
     chunks: &'g [&'g [FaultId]],
-    cone: Option<Cone>,
+    cone: Cone,
 }
 
 impl Group<'_> {
     /// Op-words per cycle: the dispatch order's cost model.
     fn cost(&self) -> usize {
-        self.cone.as_ref().map_or(1, Cone::op_count) * self.chunks.len()
+        self.cone.op_count() * self.chunks.len()
     }
 }
 
-/// One bit-sliced machine under either execution engine: the graph
-/// walker over the whole netlist, or a kernel machine over a cone tape.
-/// The two expose identical semantics for every in-cone plane (the
-/// kernel is compiled from the same netlist the walker interprets and
-/// is differentially tested bit-identical), so shard code is
-/// engine-agnostic. Register snapshots are full-netlist vectors either
-/// way; a cone machine maps them onto its in-cone registers.
-enum ShardMachine<'a> {
-    Walker(BitSlicedSim<'a>),
-    Kernel(KernelSim<'a>),
+/// Loads one word's register state: every lane from the full-netlist
+/// snapshot `base`, then each listed lane from its own full snapshot.
+/// A cone machine takes only its in-cone registers.
+fn load_registers(sim: &mut KernelSim<'_>, word: usize, base: &[u64], lanes: &[(u32, &[u64])]) {
+    let regs = sim.tape().registers();
+    let mut states = vec![0u64; regs.len() * 64];
+    for (r, &g) in regs.iter().enumerate() {
+        states[r * 64..(r + 1) * 64].fill(base[g as usize]);
+        for &(lane, full) in lanes {
+            states[r * 64 + lane as usize] = full[g as usize];
+        }
+    }
+    sim.set_register_states_in_word(word, &states);
 }
 
-impl<'a> ShardMachine<'a> {
-    /// A fresh fault-free machine: a kernel carrying `words` pattern
-    /// words when the run compiled a tape, the graph walker (always
-    /// single-word) otherwise.
-    fn new(netlist: &'a Netlist, tape: Option<&'a Tape>, words: usize) -> Self {
-        match tape {
-            Some(t) => ShardMachine::Kernel(KernelSim::with_words(t, words)),
-            None => {
-                debug_assert_eq!(words, 1, "the walker carries exactly one word");
-                ShardMachine::Walker(BitSlicedSim::new(netlist))
+/// Full-netlist register snapshots of the lanes set in `lanes` of one
+/// word, in lane order: the machine's own registers, laid over
+/// `outside` for registers outside its cone.
+fn save_registers(sim: &KernelSim<'_>, word: usize, lanes: u64, outside: &[u64]) -> Vec<Vec<u64>> {
+    let states = sim.register_states_in_word(word);
+    let regs = sim.tape().registers();
+    (0..64u32)
+        .filter(|l| lanes >> l & 1 == 1)
+        .map(|lane| {
+            let mut full = outside.to_vec();
+            for (r, &g) in regs.iter().enumerate() {
+                full[g as usize] = states[r * 64 + lane as usize];
             }
-        }
-    }
-
-    /// Advances one cycle: the walker (and the good machine on the
-    /// compiled tape) from the input word, a cone machine from the good
-    /// recording.
-    fn step(&mut self, cycle: u32, inputs: &[i64], recording: Option<&Recording>) {
-        match (self, recording) {
-            (ShardMachine::Walker(s), _) => s.step(inputs[cycle as usize]),
-            (ShardMachine::Kernel(s), Some(r)) => s.step_recorded(r.row(cycle as usize)),
-            (ShardMachine::Kernel(s), None) => s.step(inputs[cycle as usize]),
-        }
-    }
-
-    fn set_faults_in_word(&mut self, word: usize, node: rtl::NodeId, faults: Vec<CellFault>) {
-        match self {
-            ShardMachine::Walker(s) => {
-                debug_assert_eq!(word, 0);
-                s.set_faults(node, faults);
-            }
-            ShardMachine::Kernel(s) => s.set_faults_in_word(word, node, faults),
-        }
-    }
-
-    fn fold_outputs_in_word(&self, word: usize, bank: &mut MisrBank) {
-        match self {
-            ShardMachine::Walker(s) => {
-                debug_assert_eq!(word, 0);
-                s.fold_outputs(bank);
-            }
-            ShardMachine::Kernel(s) => s.fold_outputs_in_word(word, bank),
-        }
-    }
-
-    fn output_diff_lanes_in_word(&self, word: usize, reference_lane: u32) -> u64 {
-        match self {
-            ShardMachine::Walker(s) => {
-                debug_assert_eq!(word, 0);
-                s.output_diff_lanes(reference_lane)
-            }
-            ShardMachine::Kernel(s) => s.output_diff_lanes_in_word(word, reference_lane),
-        }
-    }
-
-    /// Loads one word's register state: every lane from the full
-    /// snapshot `base`, then each listed lane from its own full
-    /// snapshot.
-    fn load_registers(&mut self, word: usize, base: &[u64], lanes: &[(u32, &[u64])]) {
-        match self {
-            ShardMachine::Walker(s) => {
-                debug_assert_eq!(word, 0);
-                for lane in 0..64 {
-                    s.set_register_state_lane(lane, base);
-                }
-                for &(lane, full) in lanes {
-                    s.set_register_state_lane(lane, full);
-                }
-            }
-            ShardMachine::Kernel(s) => {
-                let regs = s.tape().registers();
-                let mut states = vec![0u64; regs.len() * 64];
-                for (r, &g) in regs.iter().enumerate() {
-                    states[r * 64..(r + 1) * 64].fill(base[g as usize]);
-                    for &(lane, full) in lanes {
-                        states[r * 64 + lane as usize] = full[g as usize];
-                    }
-                }
-                s.set_register_states_in_word(word, &states);
-            }
-        }
-    }
-
-    /// Full register snapshots of the lanes set in `lanes` of one word,
-    /// in lane order: the machine's own registers, laid over `outside`
-    /// for registers outside its cone.
-    fn save_registers(&self, word: usize, lanes: u64, outside: &[u64]) -> Vec<Vec<u64>> {
-        let lane_ids = (0..64u32).filter(|l| lanes >> l & 1 == 1);
-        match self {
-            ShardMachine::Walker(s) => {
-                debug_assert_eq!(word, 0);
-                lane_ids.map(|lane| s.register_state_lane(lane)).collect()
-            }
-            ShardMachine::Kernel(s) => {
-                let states = s.register_states_in_word(word);
-                let regs = s.tape().registers();
-                lane_ids
-                    .map(|lane| {
-                        let mut full = outside.to_vec();
-                        for (r, &g) in regs.iter().enumerate() {
-                            full[g as usize] = states[r * 64 + lane as usize];
-                        }
-                        full
-                    })
-                    .collect()
-            }
-        }
-    }
+            full
+        })
+        .collect()
 }
 
 /// The staged, sharded, 64-lane parallel fault simulator.
 ///
 /// Three axes of parallelism and pruning compose: within one shard, 63
 /// faulty machines plus the good machine are evaluated word-parallel in
-/// the bit-sliced lanes of a single `u64`; on the kernel engine a group
-/// of shards shares one multi-word machine that executes only the
-/// group's fanout *cone* of the tape, reading every other plane from a
+/// the bit-sliced lanes of a single `u64`; a group of shards shares
+/// one multi-word kernel machine that executes only the group's fanout
+/// *cone* of the compiled tape, reading every other plane from a
 /// recording of the fault-free machine; and groups are distributed
 /// over a scoped worker pool (see [`SimOptions::with_threads`]).
 /// Per-shard state is merged at every stage boundary, and results are
@@ -742,12 +599,12 @@ impl<'a> ParallelFaultSimulator<'a> {
         let threads = self.options.effective_threads().max(1);
         let stages = self.options.schedule.stages(total);
 
-        // The kernel engine compiles the netlist once into a tape that
-        // is immutable and shared by every thread; each shard group
-        // then runs only its faults' fanout cone of it.
-        let tape = (self.options.engine == SimEngine::Kernel).then(|| Tape::compile(self.netlist));
-        let fanout = tape.as_ref().map(|t| Fanout::new(self.netlist, t));
-        let mut good = self.good_machine(tape.as_ref(), total);
+        // The netlist is compiled once into a tape that is immutable
+        // and shared by every thread; each shard group then runs only
+        // its faults' fanout cone of it.
+        let tape = Tape::compile(self.netlist);
+        let fanout = Fanout::new(self.netlist, &tape);
+        let mut good = self.good_machine(&tape, total);
 
         // Surviving faults and their machine states at stage start.
         // Universe order enumerates each node's cells together and the
@@ -769,19 +626,16 @@ impl<'a> ParallelFaultSimulator<'a> {
                 self.advance_good(&mut good, inputs, start, end)?;
             }
             let shards: Vec<&[FaultId]> = active.chunks(LANES_PER_PASS).collect();
-            // The kernel batches several shards into one multi-word
-            // machine over the union of their cones; the walker runs
-            // one shard per machine over the whole netlist. Results
-            // are identical either way — each word carries its own
-            // faults, banks and survivor snapshots.
-            let width = if fanout.is_some() { group_width(shards.len(), threads) } else { 1 };
+            // Several shards share one multi-word machine over the union
+            // of their cones; each word carries its own faults, banks
+            // and survivor snapshots, so the width never changes a
+            // verdict.
             let groups: Vec<Group<'_>> = shards
-                .chunks(width)
+                .chunks(group_width(shards.len(), threads))
                 .map(|chunks| Group {
                     chunks,
-                    cone: fanout.as_ref().map(|f| {
-                        f.cone(chunks.iter().flat_map(|c| c.iter()).map(|&fid| self.site_node(fid)))
-                    }),
+                    cone: fanout
+                        .cone(chunks.iter().flat_map(|c| c.iter()).map(|&fid| self.site_node(fid))),
                 })
                 .collect();
             if let Some(m) = metrics {
@@ -795,10 +649,9 @@ impl<'a> ParallelFaultSimulator<'a> {
                 entry: &entry,
                 exit: &good.state,
                 states: &states,
-                inputs,
-                recording: good.recording.as_ref(),
+                recording: &good.recording,
             };
-            let outcomes = self.run_groups(tape.as_ref(), &ctx, &groups, threads)?;
+            let outcomes = self.run_groups(&tape, &ctx, &groups, threads)?;
 
             // Stage-boundary merge, in group order.
             let merge_started = metrics.map(|_| Instant::now());
@@ -858,25 +711,25 @@ impl<'a> ParallelFaultSimulator<'a> {
     }
 
     /// The fault-free machine at cycle 0 of a `total`-cycle test: a
-    /// single-word machine on the compiled tape (or the walker), all
-    /// registers and the signature at reset.
-    fn good_machine<'t>(&'t self, tape: Option<&'t Tape>, total: u32) -> GoodMachine<'t> {
-        let sim = ShardMachine::new(self.netlist, tape, 1);
+    /// single-word machine on the compiled tape, all registers and the
+    /// signature at reset.
+    fn good_machine<'t>(&self, tape: &'t Tape, total: u32) -> GoodMachine<'t> {
+        let sim = KernelSim::new(tape);
         let regs = vec![0u64; self.netlist.register_indices().len()];
         GoodMachine {
-            state: MachineState { regs: sim.save_registers(0, 1, &regs).remove(0), misr: 0 },
+            state: MachineState { regs: save_registers(&sim, 0, 1, &regs).remove(0), misr: 0 },
             sim,
             bank: self.options.signature.map(|cfg| {
                 MisrBank::with_polynomial(cfg.width, cfg.poly)
                     .expect("signature width validated by the session layer")
             }),
-            recording: tape.map(|t| Recording::new(t, total.min(MAX_STAGE_CYCLES) as usize)),
+            recording: Recording::new(tape, total.min(MAX_STAGE_CYCLES) as usize),
         }
     }
 
     /// Advances the fault-free machine over cycles `start..end`,
-    /// folding its signature and — on the kernel engine — recording one
-    /// bit per slot per cycle for the cone machines' boundary fills.
+    /// folding its signature and recording one bit per slot per cycle
+    /// for the cone machines' boundary fills.
     fn advance_good(
         &self,
         good: &mut GoodMachine<'_>,
@@ -884,24 +737,20 @@ impl<'a> ParallelFaultSimulator<'a> {
         start: u32,
         end: u32,
     ) -> Result<(), Cancelled> {
-        if let Some(rec) = good.recording.as_mut() {
-            rec.restart(start as usize);
-        }
+        good.recording.restart(start as usize);
         for cycle in start..end {
             if (cycle - start).is_multiple_of(CANCEL_POLL_CYCLES) {
                 // No faulty machine has left the stage start yet.
                 self.poll_cancel(start)?;
             }
-            good.sim.step(cycle, inputs, None);
-            if let (Some(rec), ShardMachine::Kernel(k)) = (good.recording.as_mut(), &good.sim) {
-                rec.capture(k);
-            }
+            good.sim.step(inputs[cycle as usize]);
+            good.recording.capture(&good.sim);
             if let Some(bank) = good.bank.as_mut() {
-                good.sim.fold_outputs_in_word(0, bank);
+                good.sim.fold_outputs(bank);
             }
         }
         good.state = MachineState {
-            regs: good.sim.save_registers(0, 1, &good.state.regs).remove(0),
+            regs: save_registers(&good.sim, 0, 1, &good.state.regs).remove(0),
             misr: good.bank.as_ref().map_or(0, |b| b.lane_signature(0)),
         };
         Ok(())
@@ -913,7 +762,7 @@ impl<'a> ParallelFaultSimulator<'a> {
     /// group order. Stops handing out groups once one is cancelled.
     fn run_groups(
         &self,
-        tape: Option<&Tape>,
+        tape: &Tape,
         ctx: &StageCtx<'_>,
         groups: &[Group<'_>],
         threads: usize,
@@ -987,23 +836,22 @@ impl<'a> ParallelFaultSimulator<'a> {
     /// Simulates a group of shards (up to 63 faults each) over one
     /// stage on a single machine, starting every lane of every word
     /// from its stage-entry register state (and, in signature mode, its
-    /// partial MISR state). On the walker a group is always exactly one
-    /// shard over the whole netlist; the kernel batches up to
-    /// [`KERNEL_WORDS`] shards into one multi-word machine over the cone
-    /// tape of the group's faults. Each word is fully independent of
+    /// partial MISR state). Up to [`KERNEL_WORDS`] shards share one
+    /// multi-word kernel machine over the cone tape of the group's
+    /// faults. Each word is fully independent of
     /// every other word and of every other group, so groups can run on
     /// any thread in any order.
     fn simulate_shard_group(
         &self,
-        tape: Option<&Tape>,
+        tape: &Tape,
         ctx: &StageCtx<'_>,
         group: &Group<'_>,
     ) -> Result<ShardOutcome, Cancelled> {
         let shard_started = self.options.metrics.as_ref().map(|_| Instant::now());
         let chunks = group.chunks;
         let words = chunks.len();
-        let cone_tape = tape.zip(group.cone.as_ref()).map(|(t, cone)| t.restrict(cone));
-        let mut sim = ShardMachine::new(self.netlist, cone_tape.as_ref(), words);
+        let cone_tape = tape.restrict(&group.cone);
+        let mut sim = KernelSim::with_words(&cone_tape, words);
         let mut banks: Option<Vec<MisrBank>> = self.options.signature.map(|cfg| {
             (0..words)
                 .map(|_| {
@@ -1029,7 +877,7 @@ impl<'a> ParallelFaultSimulator<'a> {
                     }
                 }
             }
-            sim.load_registers(word, &ctx.entry.regs, &diverged);
+            load_registers(&mut sim, word, &ctx.entry.regs, &diverged);
             let mut per_node: HashMap<rtl::NodeId, Vec<CellFault>> = HashMap::new();
             for (slot, &fid) in chunk.iter().enumerate() {
                 let site = self.universe.site(fid);
@@ -1053,7 +901,7 @@ impl<'a> ParallelFaultSimulator<'a> {
             if (cycle - ctx.start).is_multiple_of(CANCEL_POLL_CYCLES) {
                 self.poll_cancel(cycle)?;
             }
-            sim.step(cycle, ctx.inputs, ctx.recording);
+            sim.step_recorded(ctx.recording.row(cycle as usize));
             cycles_run += 1;
             if let Some(banks) = banks.as_mut() {
                 for (word, bank) in banks.iter_mut().enumerate() {
@@ -1089,7 +937,7 @@ impl<'a> ParallelFaultSimulator<'a> {
         for (word, chunk) in chunks.iter().enumerate() {
             let lanes = if banks.is_some() { faulty_lanes(chunk) } else { undetected[word] };
             let lane_ids = (1..64u32).filter(|l| lanes >> l & 1 == 1);
-            for (lane, regs) in lane_ids.zip(sim.save_registers(word, lanes, &ctx.exit.regs)) {
+            for (lane, regs) in lane_ids.zip(save_registers(&sim, word, lanes, &ctx.exit.regs)) {
                 survivors.push((
                     chunk[(lane - 1) as usize],
                     MachineState {
@@ -1100,10 +948,9 @@ impl<'a> ParallelFaultSimulator<'a> {
             }
         }
         if let Some(m) = self.options.metrics.as_deref() {
-            if let Some(t) = cone_tape.as_ref() {
-                m.counter("faultsim.op_words").add(t.op_count() as u64 * words as u64 * cycles_run);
-                m.counter("faultsim.boundary_fills").add(t.fill_count() as u64 * cycles_run);
-            }
+            m.counter("faultsim.op_words")
+                .add(cone_tape.op_count() as u64 * words as u64 * cycles_run);
+            m.counter("faultsim.boundary_fills").add(cone_tape.fill_count() as u64 * cycles_run);
             if let Some(t) = shard_started {
                 m.histogram("faultsim.shard_ms").record(t.elapsed().as_secs_f64() * 1000.0);
             }
@@ -1125,8 +972,8 @@ fn group_width(shards: usize, threads: usize) -> usize {
 mod tests {
     use super::*;
     use crate::fault::FaultUniverse;
+    use crate::reference;
     use rtl::range::{aligned_input_range, RangeAnalysis};
-    use rtl::sim::CellFault;
     use rtl::{Netlist, NetlistBuilder};
 
     fn filterish(width: u32) -> Netlist {
@@ -1163,27 +1010,6 @@ mod tests {
             .collect()
     }
 
-    /// Serial (one-fault-at-a-time) reference implementation.
-    fn serial_reference(n: &Netlist, u: &FaultUniverse, inputs: &[i64]) -> Vec<Option<u32>> {
-        u.ids()
-            .map(|fid| {
-                let site = u.site(fid);
-                let mut sim = BitSlicedSim::new(n);
-                sim.set_faults(
-                    site.node,
-                    vec![CellFault { cell: site.cell, fault: site.representative, lanes: 2 }],
-                );
-                for (cycle, &x) in inputs.iter().enumerate() {
-                    sim.step(x);
-                    if sim.output_diff_lanes(0) & 2 != 0 {
-                        return Some(cycle as u32);
-                    }
-                }
-                None
-            })
-            .collect()
-    }
-
     #[test]
     fn parallel_matches_serial_reference() {
         let n = filterish(10);
@@ -1192,8 +1018,8 @@ mod tests {
         let parallel = ParallelFaultSimulator::new(&n, &u)
             .with_schedule(StageSchedule::with_boundaries(vec![16, 48]))
             .run(&inputs);
-        let serial = serial_reference(&n, &u, &inputs);
-        assert_eq!(parallel.detection_cycles(), &serial[..]);
+        let serial = reference::simulate(&n, &u, &inputs, None);
+        assert_eq!(parallel.detection_cycles(), serial.detection_cycles());
     }
 
     #[test]
@@ -1267,7 +1093,7 @@ mod tests {
         let n = filterish(10);
         let u = universe(&n);
         let inputs = pseudo_inputs(150, 10);
-        let serial = serial_reference(&n, &u, &inputs);
+        let serial = reference::simulate(&n, &u, &inputs, None);
         for threads in [1usize, 2, 3, 4, 8] {
             let result = ParallelFaultSimulator::new(&n, &u)
                 .with_schedule(StageSchedule::with_boundaries(vec![16, 48, 96]))
@@ -1275,7 +1101,7 @@ mod tests {
                 .run(&inputs);
             assert_eq!(
                 result.detection_cycles(),
-                &serial[..],
+                serial.detection_cycles(),
                 "threads = {threads} diverged from serial"
             );
         }
@@ -1319,8 +1145,8 @@ mod tests {
             );
         }
         // The dispatch-latency histogram samples once per machine
-        // dispatch — a group of shards on the kernel, one shard on the
-        // walker — so it tracks the group counter, not the shard one.
+        // dispatch — a group of shards — so it tracks the group
+        // counter, not the shard one.
         assert_eq!(s.histograms["faultsim.shard_ms"].count, s.counters["faultsim.groups"]);
         assert!(s.counters["faultsim.groups"] <= s.counters["faultsim.shards"]);
         assert_eq!(s.histograms["faultsim.merge_ms"].count, stages);
@@ -1413,45 +1239,6 @@ mod tests {
     /// concrete hardware rather than a table lookup.
     const SIG16: SignatureConfig = SignatureConfig { width: 16, poly: 0x1100B };
 
-    /// Serial reference for signature mode: one scalar MISR per
-    /// machine, fed the machine's output stream word by word.
-    fn serial_signatures(
-        n: &Netlist,
-        u: &FaultUniverse,
-        inputs: &[i64],
-        cfg: SignatureConfig,
-    ) -> (u64, Vec<u64>) {
-        let absorb_outputs = |sim: &BitSlicedSim, lane: u32, m: &mut rtl::misr::Misr| {
-            for out in n.output_ids() {
-                m.absorb(sim.lane_value(out, lane));
-            }
-        };
-        let mut good_misr = rtl::misr::Misr::with_polynomial(cfg.width, cfg.poly).unwrap();
-        let mut good_sim = BitSlicedSim::new(n);
-        for &x in inputs {
-            good_sim.step(x);
-            absorb_outputs(&good_sim, 0, &mut good_misr);
-        }
-        let per_fault = u
-            .ids()
-            .map(|fid| {
-                let site = u.site(fid);
-                let mut sim = BitSlicedSim::new(n);
-                sim.set_faults(
-                    site.node,
-                    vec![CellFault { cell: site.cell, fault: site.representative, lanes: 2 }],
-                );
-                let mut m = rtl::misr::Misr::with_polynomial(cfg.width, cfg.poly).unwrap();
-                for &x in inputs {
-                    sim.step(x);
-                    absorb_outputs(&sim, 1, &mut m);
-                }
-                m.signature()
-            })
-            .collect();
-        (good_misr.signature(), per_fault)
-    }
-
     #[test]
     fn signature_mode_keeps_detection_cycles_bit_identical() {
         let n = filterish(10);
@@ -1478,7 +1265,8 @@ mod tests {
         let n = filterish(10);
         let u = universe(&n);
         let inputs = pseudo_inputs(100, 10);
-        let (good, per_fault) = serial_signatures(&n, &u, &inputs, SIG16);
+        let serial = reference::simulate(&n, &u, &inputs, Some(SIG16));
+        let SignatureSet { good, per_fault } = serial.signatures().cloned().unwrap();
         let result = ParallelFaultSimulator::new(&n, &u)
             .with_options(
                 SimOptions::new()
@@ -1607,34 +1395,21 @@ mod tests {
     }
 
     #[test]
-    fn engine_names_round_trip_and_kernel_is_the_default() {
-        assert_eq!(SimOptions::new().engine(), SimEngine::Kernel);
-        for e in [SimEngine::Kernel, SimEngine::Walker] {
-            assert_eq!(SimEngine::parse(e.as_str()), Some(e));
-        }
-        assert_eq!(SimEngine::parse("graph"), None);
-        assert_eq!(SimOptions::new().with_engine(SimEngine::Walker).engine(), SimEngine::Walker);
-    }
-
-    #[test]
     fn engines_agree_in_compare_mode() {
+        // The scheduled kernel against the walker-based reference.
         let n = filterish(12);
         let u = universe(&n);
         let inputs = pseudo_inputs(192, 12);
-        let run = |engine| {
-            ParallelFaultSimulator::new(&n, &u)
-                .with_options(
-                    SimOptions::new()
-                        .with_engine(engine)
-                        .with_schedule(StageSchedule::with_boundaries(vec![64, 128]))
-                        .with_threads(1),
-                )
-                .run(&inputs)
-        };
-        let kernel = run(SimEngine::Kernel);
-        let walker = run(SimEngine::Walker);
-        assert_eq!(kernel.detection_cycle, walker.detection_cycle);
-        assert_eq!(kernel.total_cycles, walker.total_cycles);
+        let kernel = ParallelFaultSimulator::new(&n, &u)
+            .with_options(
+                SimOptions::new()
+                    .with_schedule(StageSchedule::with_boundaries(vec![64, 128]))
+                    .with_threads(1),
+            )
+            .run(&inputs);
+        let expected = reference::simulate(&n, &u, &inputs, None);
+        assert_eq!(kernel.detection_cycle, expected.detection_cycle);
+        assert_eq!(kernel.total_cycles, expected.total_cycles);
     }
 
     #[test]
@@ -1642,22 +1417,18 @@ mod tests {
         let n = filterish(12);
         let u = universe(&n);
         let inputs = pseudo_inputs(192, 12);
-        let run = |engine| {
-            ParallelFaultSimulator::new(&n, &u)
-                .with_options(
-                    SimOptions::new()
-                        .with_engine(engine)
-                        .with_schedule(StageSchedule::with_boundaries(vec![96]))
-                        .with_threads(1)
-                        .with_signature(SIG16),
-                )
-                .run(&inputs)
-        };
-        let kernel = run(SimEngine::Kernel);
-        let walker = run(SimEngine::Walker);
-        assert_eq!(kernel.detection_cycle, walker.detection_cycle);
-        assert_eq!(kernel.signatures(), walker.signatures());
-        assert_eq!(kernel.aliased(), walker.aliased());
+        let kernel = ParallelFaultSimulator::new(&n, &u)
+            .with_options(
+                SimOptions::new()
+                    .with_schedule(StageSchedule::with_boundaries(vec![96]))
+                    .with_threads(1)
+                    .with_signature(SIG16),
+            )
+            .run(&inputs);
+        let expected = reference::simulate(&n, &u, &inputs, Some(SIG16));
+        assert_eq!(kernel.detection_cycle, expected.detection_cycle);
+        assert_eq!(kernel.signatures(), expected.signatures());
+        assert_eq!(kernel.aliased(), expected.aliased());
     }
 
     #[test]
@@ -1671,32 +1442,26 @@ mod tests {
     }
 
     #[test]
-    fn kernel_runs_count_cone_work_and_walker_runs_do_not() {
+    fn runs_count_cone_work() {
         let n = filterish(12);
         let u = universe(&n);
         let inputs = pseudo_inputs(192, 12);
-        let run = |engine| {
-            let registry = Arc::new(Registry::new());
-            ParallelFaultSimulator::new(&n, &u)
-                .with_options(
-                    SimOptions::new()
-                        .with_engine(engine)
-                        .with_schedule(StageSchedule::with_boundaries(vec![]))
-                        .with_signature(SIG16)
-                        .with_metrics(Arc::clone(&registry)),
-                )
-                .run(&inputs);
-            registry.snapshot().counters
-        };
-        let kernel = run(SimEngine::Kernel);
+        let registry = Arc::new(Registry::new());
+        ParallelFaultSimulator::new(&n, &u)
+            .with_options(
+                SimOptions::new()
+                    .with_schedule(StageSchedule::with_boundaries(vec![]))
+                    .with_signature(SIG16)
+                    .with_metrics(Arc::clone(&registry)),
+            )
+            .run(&inputs);
+        let counters = registry.snapshot().counters;
         // One stage in signature mode: every shard runs every cycle, so
         // the full tape would execute ops x shards x cycles op-words.
-        let full = Tape::compile(&n).op_count() as u64 * kernel["faultsim.shards"] * 192;
-        let op_words = kernel["faultsim.op_words"];
+        let full = Tape::compile(&n).op_count() as u64 * counters["faultsim.shards"] * 192;
+        let op_words = counters["faultsim.op_words"];
         assert!(op_words > 0 && op_words <= full, "{op_words} of {full}");
-        assert!(kernel["faultsim.boundary_fills"] > 0);
-        let walker = run(SimEngine::Walker);
-        assert!(!walker.contains_key("faultsim.op_words"));
+        assert!(counters["faultsim.boundary_fills"] > 0);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The load-bearing correctness property of the fault simulator: the
 //! staged 64-lane parallel engine must return *exactly* the detection
-//! cycles of one-fault-at-a-time serial simulation — on arbitrary
-//! netlists, universes and stage schedules, and at every worker-thread
-//! count.
+//! cycles of the unscheduled reference simulator
+//! (`bist_faultsim::reference`, every fault run from cycle 0 to the
+//! end) — on arbitrary netlists, universes and stage schedules, and at
+//! every worker-thread count.
 //!
 //! The deterministic tests below always run. The randomized
 //! (property-based) tests need the `proptest` crate and are gated
@@ -10,9 +11,8 @@
 //! builds offline; see the workspace `Cargo.toml` for how to re-enable
 //! them.
 
-use bist_faultsim::{FaultUniverse, ParallelFaultSimulator, SimOptions, StageSchedule};
+use bist_faultsim::{reference, FaultUniverse, ParallelFaultSimulator, SimOptions, StageSchedule};
 use rtl::range::{aligned_input_range, RangeAnalysis};
-use rtl::sim::{BitSlicedSim, CellFault};
 use rtl::{Netlist, NetlistBuilder, NodeId};
 
 #[derive(Debug, Clone)]
@@ -39,26 +39,6 @@ fn build(width: u32, ops: &[Op]) -> Netlist {
     let last = *ids.last().expect("nonempty");
     b.output(last, "y");
     b.finish().expect("DAG by construction")
-}
-
-fn serial_reference(n: &Netlist, u: &FaultUniverse, inputs: &[i64]) -> Vec<Option<u32>> {
-    u.ids()
-        .map(|fid| {
-            let site = u.site(fid);
-            let mut sim = BitSlicedSim::new(n);
-            sim.set_faults(
-                site.node,
-                vec![CellFault { cell: site.cell, fault: site.representative, lanes: 2 }],
-            );
-            for (cycle, &x) in inputs.iter().enumerate() {
-                sim.step(x);
-                if sim.output_diff_lanes(0) & 2 != 0 {
-                    return Some(cycle as u32);
-                }
-            }
-            None
-        })
-        .collect()
 }
 
 /// A fixed netlist big enough to span several 63-fault shards: a short
@@ -101,7 +81,8 @@ fn threaded_runs_are_bit_identical_to_single_threaded() {
     let baseline = ParallelFaultSimulator::new(&netlist, &universe)
         .with_options(SimOptions::new().with_schedule(schedule.clone()).with_threads(1))
         .run(&inputs);
-    assert_eq!(baseline.detection_cycles(), &serial_reference(&netlist, &universe, &inputs)[..]);
+    let serial = reference::simulate(&netlist, &universe, &inputs, None);
+    assert_eq!(baseline.detection_cycles(), serial.detection_cycles());
 
     for threads in [2usize, 4, 8] {
         let run = ParallelFaultSimulator::new(&netlist, &universe)
@@ -125,12 +106,12 @@ fn stage_boundary_past_total_cycles_is_harmless() {
     // Boundaries beyond the run length (and a degenerate duplicate-free
     // in-range one) must not change results at any thread count.
     let schedule = StageSchedule::with_boundaries(vec![10, 1000, 4096]);
-    let serial = serial_reference(&netlist, &universe, &inputs);
+    let serial = reference::simulate(&netlist, &universe, &inputs, None);
     for threads in [1usize, 3] {
         let run = ParallelFaultSimulator::new(&netlist, &universe)
             .with_options(SimOptions::new().with_schedule(schedule.clone()).with_threads(threads))
             .run(&inputs);
-        assert_eq!(run.detection_cycles(), &serial[..], "threads = {threads}");
+        assert_eq!(run.detection_cycles(), serial.detection_cycles(), "threads = {threads}");
         assert_eq!(run.total_cycles(), inputs.len() as u32);
     }
 }
@@ -190,8 +171,8 @@ mod proptests {
             let parallel = ParallelFaultSimulator::new(&netlist, &universe)
                 .with_schedule(schedule)
                 .run(&inputs);
-            let serial = serial_reference(&netlist, &universe, &inputs);
-            prop_assert_eq!(parallel.detection_cycles(), &serial[..]);
+            let serial = reference::simulate(&netlist, &universe, &inputs, None);
+            prop_assert_eq!(parallel.detection_cycles(), serial.detection_cycles());
         }
 
         #[test]
